@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,41 +27,20 @@
 
 namespace sttr::serve {
 
-/// How the server drives its sockets.
-enum class ServeMode {
-  /// Epoll event loops own nonblocking sockets and parse incrementally;
-  /// complete requests are handed to a scoring worker pool over a bounded
-  /// ring and responses are written back via write readiness. The
-  /// steady-state request path performs zero heap allocations. Scales to
-  /// thousands of mostly-idle keep-alive connections.
-  kEventLoop,
-  /// The original thread-per-connection blocking implementation: a worker
-  /// blocks on recv/send for one connection at a time, so concurrency is
-  /// capped at num_workers. Kept as the byte-exact reference the event-loop
-  /// mode is equivalence-tested against, and as the benchmark baseline.
-  kBlocking,
-};
-
 struct ServerConfig {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   int port = 0;
-  /// Socket strategy; see ServeMode. Event loop is the default.
-  ServeMode mode = ServeMode::kEventLoop;
-  /// kBlocking: handler threads == max concurrently served connections.
-  /// kEventLoop: scoring worker threads draining the request ring.
+  /// Scoring worker threads draining the request ring.
   size_t num_workers = 8;
-  /// kEventLoop: epoll I/O threads. One loop comfortably drives thousands
-  /// of keep-alive connections; scoring parallelism lives in num_workers.
+  /// Epoll I/O threads. One loop comfortably drives thousands of keep-alive
+  /// connections; scoring parallelism lives in num_workers.
   size_t num_io_threads = 1;
-  /// kBlocking: accepted connections beyond the workers queue up to this
-  /// depth; past it they are answered 503 and closed.
-  size_t max_pending_connections = 64;
-  /// kEventLoop: open sockets across all loops; connections beyond the cap
-  /// are answered 503 and closed.
+  /// Open sockets across all loops; connections beyond the cap are answered
+  /// 503 and closed. Also the listen backlog.
   size_t max_connections = 4096;
-  /// kEventLoop: bounded loop->worker request ring. When full, requests are
-  /// answered 503 "server overloaded" immediately (admission control)
-  /// instead of queueing unboundedly.
+  /// Bounded loop->worker request ring. When full, requests are answered
+  /// 503 "server overloaded" immediately (admission control) instead of
+  /// queueing unboundedly.
   size_t max_queued_requests = 1024;
   /// Per-read socket timeout; an idle keep-alive connection is closed when
   /// it fires (a stranded partial request gets a 408 first).
@@ -108,15 +86,18 @@ struct ServerConfig {
 /// location's grid cell) -> candidate generation -> micro-batched scoring ->
 /// TopKByScore -> cache fill. Keep-alive and pipelining are supported;
 /// shutdown is graceful (stop accepting, finish in-flight requests, join
-/// every thread). The two ServeModes produce byte-identical responses.
+/// every thread).
 ///
-/// Event-loop mode hot path (zero allocations once warmed): the loop parses
-/// from the connection's sticky buffer, validates parameters as views, and
-/// enqueues a POD task; a worker probes the cache into per-worker scratch,
-/// assembles JSON in the connection's arena, and posts a completion; the
-/// loop serializes headers into the same arena and writes. Allocation
-/// counters (ServeStats::hot_allocs et al., fed by the counting operator-new
-/// hook) assert the property instead of claiming it.
+/// One serving core: epoll event loops own nonblocking sockets and parse
+/// incrementally; complete requests go to a scoring worker pool over a
+/// bounded ring, and responses are written back under write readiness. Hot
+/// path (zero allocations once warmed): the loop parses from the
+/// connection's sticky buffer, validates parameters as views, and enqueues a
+/// POD task; a worker probes the cache into per-worker scratch, assembles
+/// JSON in the connection's arena, and posts a completion; the loop
+/// serializes headers into the same arena and writes. Allocation counters
+/// (ServeStats::hot_allocs et al., fed by the counting operator-new hook)
+/// assert the property instead of claiming it.
 class RecommendServer {
  public:
   /// All dependencies must outlive the server. `cache` may be null iff
@@ -163,8 +144,6 @@ class RecommendServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:
-  // ---- Event-loop mode ------------------------------------------------
-
   /// Validated /recommend parameters, plain data so a queued task copies
   /// them out of the connection's input buffer before the views die.
   struct RequestParams {
@@ -207,8 +186,8 @@ class RecommendServer {
   /// pre-serialized bodies), enqueues real work for the scoring workers.
   EventLoop::Dispatch OnRequest(EventLoop* loop, Conn& conn,
                                 const ParsedRequest& req);
-  /// Parses and validates ?query params with the blocking path's exact
-  /// semantics and error precedence. False: *status/*error describe the 400.
+  /// Parses and validates ?query params; the first failing check, in a
+  /// fixed order, names the error. False: *status/*error describe the 400.
   bool ParseRecommendParams(std::string_view query, RequestParams* out,
                             int* status, std::string_view* error) const;
   /// /checkin analogue of ParseRecommendParams; id range checks live in
@@ -217,10 +196,11 @@ class RecommendServer {
                           int* status, std::string_view* error) const;
   bool EnqueueTask(const Task& task) EXCLUDES(task_mu_);
   void ScoringWorkerLoop() EXCLUDES(task_mu_);
-  /// Fill conn.body/http_status; called from a scoring worker (event-loop
-  /// mode). Byte-identical to the blocking HandleRecommend/Healthz/Statz.
+  /// Fill conn.body/http_status; called from a scoring worker.
   void ProcessRecommend(const RequestParams& params, WorkerScratch& scratch,
                         Conn& conn);
+  /// 503 with a reason while no model is loadable or the store has shards
+  /// down, 200 otherwise.
   void ProcessHealthz(Conn& conn);
   void ProcessStatz(Conn& conn);
   void ProcessCheckin(const RequestParams& params, Conn& conn);
@@ -229,24 +209,7 @@ class RecommendServer {
   void RefreshSnapshotGauges() const;
   void RecordLatency(std::chrono::steady_clock::time_point start);
 
-  // ---- Blocking mode (legacy reference implementation) ----------------
-
-  void WorkerLoop() EXCLUDES(queue_mu_);
-  /// Serves one connection (possibly many keep-alive requests).
-  void HandleConnection(int fd);
-  /// Parses and answers a single request; false ends the connection.
-  bool HandleOneRequest(int fd, std::string& buffer);
-  std::string HandleRecommend(const std::string& query, int* http_status);
-  std::string HandleCheckin(const std::string& query, int* http_status);
-  std::string HandleStatz() const;
-
-  /// Submits a parsed check-in and builds the response body — the single
-  /// implementation both modes share, so their bytes cannot drift.
-  std::string CheckinBody(const RequestParams& params, int* http_status);
-
-  // ---- Shared ---------------------------------------------------------
-
-  void AcceptLoop() EXCLUDES(queue_mu_);
+  void AcceptLoop();
 
   /// True when this request's snapshot can score through the configured
   /// store: fp32 model present and still the version the store was built
@@ -262,9 +225,6 @@ class RecommendServer {
   /// Degraded ranking: global check-in popularity of each candidate.
   void PopularityScores(std::span<const PoiId> pois,
                         std::vector<double>* scores) const;
-  /// /healthz body + status shared by both modes: 503 with a reason while
-  /// no model is loadable or the store has shards down, 200 otherwise.
-  std::string HealthzBody(int* http_status) const;
 
   ServerConfig config_;
   const Dataset& dataset_;
@@ -285,15 +245,9 @@ class RecommendServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> shutting_down_{false};
   std::chrono::steady_clock::time_point started_at_;
 
-  // Blocking mode: pending accepted sockets -> handler threads.
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<int> pending_ GUARDED_BY(queue_mu_);
-
-  // Event-loop mode: bounded request ring -> scoring workers.
+  // Bounded request ring: event loops -> scoring workers.
   Mutex task_mu_;
   CondVar task_cv_;
   std::vector<Task> ring_ GUARDED_BY(task_mu_);

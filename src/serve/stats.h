@@ -90,7 +90,7 @@ struct ServeStats {
   std::atomic<uint64_t> hot_allocs{0};        ///< allocs inside those (0 warmed)
   std::atomic<uint64_t> loop_allocs{0};       ///< allocs on event-loop threads
 
-  // Syscall tallies from the event loops (and the blocking path's I/O).
+  // Syscall tallies from the event loops.
   std::atomic<uint64_t> sys_reads{0};
   std::atomic<uint64_t> sys_writes{0};
   std::atomic<uint64_t> sys_epoll_waits{0};

@@ -14,20 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
 #include "core/checkpoint.h"
 #include "util/fs.h"
 
 namespace sttr {
 namespace {
-
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_ckpt_race_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 /// A small but real checkpoint container whose payload encodes its epoch.
 std::string CheckpointBytes(size_t epoch) {
@@ -40,7 +32,7 @@ std::string CheckpointBytes(size_t epoch) {
 }
 
 TEST(CheckpointRaceTest, FindLatestRacingRotationAndWrites) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   Env& env = *Env::Default();
 
   // Seed one checkpoint so readers never start on an empty directory.

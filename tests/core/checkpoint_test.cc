@@ -1,23 +1,15 @@
 #include "core/checkpoint.h"
 
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
+
 namespace sttr {
 namespace {
-
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_ckpt_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 TEST(Crc32Test, MatchesKnownCheckValue) {
   // The standard CRC-32/IEEE check value.
@@ -84,7 +76,7 @@ TEST(CheckpointContainerTest, EncodeParseRoundTrip) {
 }
 
 TEST(CheckpointContainerTest, WriteToAndOpen) {
-  const std::string path = TestDir() + "/c.sttr";
+  const std::string path = TestScratchDir() + "/c.sttr";
   ASSERT_TRUE(ThreeSectionWriter().WriteTo(*Env::Default(), path).ok());
   auto reader = CheckpointReader::Open(*Env::Default(), path);
   ASSERT_TRUE(reader.ok());
@@ -188,7 +180,7 @@ TEST(CheckpointDirTest, FileNameRoundTrip) {
 
 TEST(CheckpointDirTest, LatestSkipsCorruptAndTempFiles) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   ASSERT_TRUE(ThreeSectionWriter()
                   .WriteTo(env, dir + "/" + CheckpointFileName(1))
                   .ok());
@@ -209,7 +201,7 @@ TEST(CheckpointDirTest, LatestSkipsCorruptAndTempFiles) {
 
 TEST(CheckpointDirTest, LatestIsNotFoundWhenNothingValid) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto r = FindLatestValidCheckpoint(env, dir);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
@@ -220,7 +212,7 @@ TEST(CheckpointDirTest, LatestIsNotFoundWhenNothingValid) {
 
 TEST(CheckpointDirTest, RotationKeepsNewestAndSweepsResidue) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   for (size_t epoch = 1; epoch <= 5; ++epoch) {
     ASSERT_TRUE(ThreeSectionWriter()
                     .WriteTo(env, dir + "/" + CheckpointFileName(epoch))

@@ -5,26 +5,16 @@
 #include "core/delta.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
 #include "core/checkpoint.h"
 
 namespace sttr {
 namespace {
-
-std::string DeltaTestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_delta_") + info->test_suite_name() + "_" +
-         info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 /// A fully populated delta with distinct content per table.
 DeltaCheckpoint MakeDelta(uint64_t seq) {
@@ -79,7 +69,7 @@ TEST(DeltaCheckpointTest, DensePayloadRoundtrips) {
 }
 
 TEST(DeltaCheckpointTest, WriteReadRoundtrip) {
-  const std::string dir = DeltaTestDir();
+  const std::string dir = TestScratchDir();
   const std::string path = dir + "/" + DeltaFileName(1);
   ASSERT_TRUE(WriteDeltaCheckpoint(*Env::Default(), path, MakeDelta(1)).ok());
   StatusOr<DeltaCheckpoint> back = ReadDeltaCheckpoint(*Env::Default(), path);
@@ -148,7 +138,7 @@ TEST(DeltaFileNameTest, Roundtrip) {
 }
 
 TEST(DeltaDirTest, FindLatestSkipsTornNewest) {
-  const std::string dir = DeltaTestDir();
+  const std::string dir = TestScratchDir();
   Env& env = *Env::Default();
   ASSERT_TRUE(
       WriteDeltaCheckpoint(env, dir + "/" + DeltaFileName(1), MakeDelta(1))
@@ -168,14 +158,14 @@ TEST(DeltaDirTest, FindLatestSkipsTornNewest) {
 }
 
 TEST(DeltaDirTest, FindLatestEmptyDirIsNotFound) {
-  const std::string dir = DeltaTestDir();
+  const std::string dir = TestScratchDir();
   StatusOr<std::string> latest = FindLatestValidDelta(*Env::Default(), dir);
   EXPECT_FALSE(latest.ok());
   EXPECT_EQ(latest.status().code(), StatusCode::kNotFound);
 }
 
 TEST(DeltaDirTest, RotateKeepsNewestK) {
-  const std::string dir = DeltaTestDir();
+  const std::string dir = TestScratchDir();
   Env& env = *Env::Default();
   for (uint64_t seq = 1; seq <= 5; ++seq) {
     ASSERT_TRUE(WriteDeltaCheckpoint(env, dir + "/" + DeltaFileName(seq),

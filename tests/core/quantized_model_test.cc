@@ -10,10 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "../scratch_dir.h"
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
@@ -41,16 +41,6 @@ StTransRecConfig SmallConfig() {
   cfg.batch_size = 32;
   cfg.mmd_batch = 8;
   return cfg;
-}
-
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_quant_") + info->test_suite_name() + "_" +
-         info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 /// All (test user, target-city POI) pairs, the serving workload.
@@ -144,7 +134,7 @@ TEST_F(QuantizedModelTest, CheckpointRoundTripIsBitIdentical) {
     cfg.fp16_tail = fp16_tail;
     const auto quant = QuantizedModel::Quantize(*model_, cfg);
     ASSERT_TRUE(quant.ok());
-    const std::string path = TestDir() + "/" + CheckpointFileName(2);
+    const std::string path = TestScratchDir() + "/" + CheckpointFileName(2);
     ASSERT_TRUE(quant->WriteCheckpointFile(*Env::Default(), path).ok());
 
     const auto back = QuantizedModel::LoadFromCheckpoint(*Env::Default(), path);
@@ -170,7 +160,7 @@ TEST_F(QuantizedModelTest, SymmetricSchemeAlsoRoundTrips) {
   const auto quant = QuantizedModel::Quantize(*model_, cfg);
   ASSERT_TRUE(quant.ok());
   EXPECT_EQ(quant->embedding_scheme(), QuantScheme::kSymmetric);
-  const std::string path = TestDir() + "/" + CheckpointFileName(2);
+  const std::string path = TestScratchDir() + "/" + CheckpointFileName(2);
   ASSERT_TRUE(quant->WriteCheckpointFile(*Env::Default(), path).ok());
   const auto back = QuantizedModel::LoadFromCheckpoint(*Env::Default(), path);
   ASSERT_TRUE(back.ok());
@@ -200,7 +190,7 @@ class VersionMatrixTest : public QuantizedModelTest {
  protected:
   /// Writes one v1 training checkpoint and one v2 artifact into a fresh dir.
   void WriteBoth(std::string* v1_path, std::string* v2_path) {
-    const std::string dir = TestDir();
+    const std::string dir = TestScratchDir();
     StTransRecConfig cfg = SmallConfig();
     cfg.checkpoint_dir = dir;
     StTransRec trainer(cfg);

@@ -5,12 +5,12 @@
 // data-parallel trainer. The fault-injection soak at the bottom proves a
 // failure at any IO step never leaves a torn checkpoint behind.
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
@@ -18,15 +18,6 @@
 
 namespace sttr {
 namespace {
-
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_resume_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 struct Fixture {
   synth::SynthWorld world;
@@ -69,7 +60,7 @@ void ExpectKillAndResumeBitIdentical(size_t workers, size_t kill_at) {
   StTransRec uninterrupted(full_cfg);
   ASSERT_TRUE(uninterrupted.Fit(f.world.dataset, f.split).ok());
 
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto killed_cfg = SmallConfig(workers);
   killed_cfg.num_epochs = kill_at;  // the "crash" after epoch kill_at
   killed_cfg.checkpoint_dir = dir;
@@ -111,7 +102,7 @@ TEST(ResumeTest, SerialKillAfterOneEpochResumes) {
 TEST(ResumeTest, EmptyDirectoryIsNotFound) {
   auto f = MakeFixture();
   auto cfg = SmallConfig(1);
-  cfg.checkpoint_dir = TestDir();
+  cfg.checkpoint_dir = TestScratchDir();
   StTransRec model(cfg);
   EXPECT_EQ(model.Resume(f.world.dataset, f.split).code(),
             StatusCode::kNotFound);
@@ -126,7 +117,7 @@ TEST(ResumeTest, NoDirectoryConfiguredIsInvalidArgument) {
 
 TEST(ResumeTest, DifferentConfigIsRejected) {
   auto f = MakeFixture();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 1;
   cfg.checkpoint_dir = dir;
@@ -144,7 +135,7 @@ TEST(ResumeTest, DifferentConfigIsRejected) {
 
 TEST(ResumeTest, ChangedWorkerCountIsRejected) {
   auto f = MakeFixture();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 1;
   cfg.checkpoint_dir = dir;
@@ -160,7 +151,7 @@ TEST(ResumeTest, ChangedWorkerCountIsRejected) {
 
 TEST(ResumeTest, AlreadyCompleteRunResumesToFittedNoop) {
   auto f = MakeFixture();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 2;
   cfg.checkpoint_dir = dir;
@@ -179,7 +170,7 @@ TEST(ResumeTest, AlreadyCompleteRunResumesToFittedNoop) {
 
 TEST(ResumeTest, CheckpointCadenceAndFinalEpoch) {
   auto f = MakeFixture();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 5;
   cfg.checkpoint_every_n_epochs = 2;
@@ -196,7 +187,7 @@ TEST(ResumeTest, CheckpointCadenceAndFinalEpoch) {
 
 TEST(ResumeTest, RotationKeepsLastK) {
   auto f = MakeFixture();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 4;
   cfg.checkpoint_keep_last = 2;
@@ -218,7 +209,7 @@ using Op = FaultInjectionEnv::Op;
 TEST(CheckpointFaultSoakTest, EveryIoFaultLeavesAValidCheckpoint) {
   auto f = MakeFixture();
   FaultInjectionEnv fenv;
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto cfg = SmallConfig(1);
   cfg.num_epochs = 1;
   cfg.checkpoint_dir = dir;

@@ -1,25 +1,15 @@
 #include "data/io.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
 #include "data/synth/world_generator.h"
 
 namespace sttr {
 namespace {
-
-// Per-test directory: the fixed dataset filenames would otherwise collide
-// when ctest -j runs several DatasetIoTest cases concurrently.
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_io_") + info->name();
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 TEST(DatasetIoTest, PathsInDirectory) {
   const auto p = DatasetPaths::InDirectory("/data");
@@ -34,7 +24,7 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
       synth::GenerateWorld(synth::SynthWorldConfig::FoursquareLike(
           synth::Scale::kTiny));
   const Dataset& original = world.dataset;
-  const auto paths = DatasetPaths::InDirectory(TestDir());
+  const auto paths = DatasetPaths::InDirectory(TestScratchDir());
   ASSERT_TRUE(SaveDataset(original, paths).ok());
 
   auto loaded = LoadDataset(paths);
@@ -76,7 +66,7 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
 TEST(DatasetIoTest, SecondRoundTripIsIdentity) {
   auto world = synth::GenerateWorld(
       synth::SynthWorldConfig::FoursquareLike(synth::Scale::kTiny));
-  const auto paths = DatasetPaths::InDirectory(TestDir());
+  const auto paths = DatasetPaths::InDirectory(TestScratchDir());
   ASSERT_TRUE(SaveDataset(world.dataset, paths).ok());
   auto first = LoadDataset(paths);
   ASSERT_TRUE(first.ok());
@@ -98,7 +88,7 @@ TEST(DatasetIoTest, MissingFileIsIOError) {
 }
 
 TEST(DatasetIoTest, CommentsAndBlankLinesSkipped) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto paths = DatasetPaths::InDirectory(dir);
   std::ofstream(paths.cities)
       << "# comment\n\n0\tmetropolis\t0.0\t1.0\t0.0\t1.0\n";
@@ -113,7 +103,7 @@ TEST(DatasetIoTest, CommentsAndBlankLinesSkipped) {
 }
 
 TEST(DatasetIoTest, MalformedLinesReportFileAndLine) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto paths = DatasetPaths::InDirectory(dir);
   std::ofstream(paths.cities) << "0\tmetropolis\t0.0\t1.0\t0.0\n";  // 5 fields
   auto r = LoadDataset(paths);
@@ -123,7 +113,7 @@ TEST(DatasetIoTest, MalformedLinesReportFileAndLine) {
 }
 
 TEST(DatasetIoTest, NonDenseIdsRejected) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto paths = DatasetPaths::InDirectory(dir);
   std::ofstream(paths.cities) << "1\tmetropolis\t0.0\t1.0\t0.0\t1.0\n";
   auto r = LoadDataset(paths);
@@ -132,7 +122,7 @@ TEST(DatasetIoTest, NonDenseIdsRejected) {
 }
 
 TEST(DatasetIoTest, OutOfRangeReferencesRejected) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto paths = DatasetPaths::InDirectory(dir);
   std::ofstream(paths.cities) << "0\tm\t0.0\t1.0\t0.0\t1.0\n";
   std::ofstream(paths.users) << "0\t7\n";  // city 7 does not exist
@@ -142,7 +132,7 @@ TEST(DatasetIoTest, OutOfRangeReferencesRejected) {
 }
 
 TEST(DatasetIoTest, BadNumberRejected) {
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   auto paths = DatasetPaths::InDirectory(dir);
   std::ofstream(paths.cities) << "0\tm\tnot_a_number\t1.0\t0.0\t1.0\n";
   auto r = LoadDataset(paths);
@@ -157,7 +147,7 @@ struct ValidFiles {
 };
 
 ValidFiles WriteValidWorld() {
-  ValidFiles f{TestDir(), {}};
+  ValidFiles f{TestScratchDir(), {}};
   f.paths = DatasetPaths::InDirectory(f.dir);
   std::ofstream(f.paths.cities) << "0\tm\t0.0\t1.0\t0.0\t1.0\n";
   std::ofstream(f.paths.users) << "0\t0\n";

@@ -66,7 +66,7 @@ class ModelBundleTest : public ::testing::Test {
 ServeFixture* ModelBundleTest::fixture_ = nullptr;
 
 TEST_F(ModelBundleTest, LoadInitialServesNewestCheckpointExactly) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const std::shared_ptr<StTransRec> trainer = TrainSmallModel(*fixture_, dir);
 
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
@@ -82,14 +82,14 @@ TEST_F(ModelBundleTest, LoadInitialServesNewestCheckpointExactly) {
 }
 
 TEST_F(ModelBundleTest, LoadInitialFailsOnEmptyDirectory) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
   EXPECT_FALSE(bundle.LoadInitial().ok());
   EXPECT_EQ(bundle.snapshot(), nullptr);
 }
 
 TEST_F(ModelBundleTest, RejectsCheckpointFromDifferentConfig) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
 
   ModelBundleConfig config = BundleConfig(dir);
@@ -102,7 +102,7 @@ TEST_F(ModelBundleTest, RejectsCheckpointFromDifferentConfig) {
 }
 
 TEST_F(ModelBundleTest, ReloadIfNewerIsNoopWhenCurrent) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
   ASSERT_TRUE(bundle.LoadInitial().ok());
@@ -113,7 +113,7 @@ TEST_F(ModelBundleTest, ReloadIfNewerIsNoopWhenCurrent) {
 }
 
 TEST_F(ModelBundleTest, HotReloadSwapsInNewerCheckpointAndNotifies) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
 
@@ -136,7 +136,7 @@ TEST_F(ModelBundleTest, HotReloadSwapsInNewerCheckpointAndNotifies) {
 }
 
 TEST_F(ModelBundleTest, InFlightSnapshotSurvivesSwap) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
   ASSERT_TRUE(bundle.LoadInitial().ok());
@@ -154,7 +154,7 @@ TEST_F(ModelBundleTest, InFlightSnapshotSurvivesSwap) {
 }
 
 TEST_F(ModelBundleTest, ReloadListenerInvalidatesResultCache) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
 
@@ -182,7 +182,7 @@ TEST_F(ModelBundleTest, ReloadListenerInvalidatesResultCache) {
 // checkpoints. No request may ever observe torn parameters — two reads of
 // one captured snapshot must agree bitwise — and no reload may be missed.
 TEST_F(ModelBundleTest, WatcherHotReloadsUnderConcurrentScoring) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundleConfig config = BundleConfig(dir);
   config.poll_interval = std::chrono::milliseconds(2);

@@ -84,7 +84,7 @@ class PrecisionReloadTest : public ::testing::Test {
 ServeFixture* PrecisionReloadTest::fixture_ = nullptr;
 
 TEST_F(PrecisionReloadTest, AutoPrefersQuantizedArtifactOnEpochTie) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   const size_t epoch = SmallServeModelConfig().num_epochs;
   LandQuantArtifact(*trainer, dir, epoch);
@@ -106,7 +106,7 @@ TEST_F(PrecisionReloadTest, AutoPrefersQuantizedArtifactOnEpochTie) {
 }
 
 TEST_F(PrecisionReloadTest, AutoServesFp32WhenNoQuantArtifactExists) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   ModelBundle bundle(dataset(), split(),
                      BundleConfig(dir, PrecisionMode::kAuto));
@@ -117,7 +117,7 @@ TEST_F(PrecisionReloadTest, AutoServesFp32WhenNoQuantArtifactExists) {
 }
 
 TEST_F(PrecisionReloadTest, Int8ModeRefusesTrainingCheckpoints) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   // Point the int8 mode's quant dir at the fp32 (v1) files: must be refused
   // up front, never half-served.
@@ -131,7 +131,7 @@ TEST_F(PrecisionReloadTest, Int8ModeRefusesTrainingCheckpoints) {
 }
 
 TEST_F(PrecisionReloadTest, Fp32ModeRefusesQuantizedArtifacts) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   const std::string quant_path = LandQuantArtifact(*trainer, dir, 99);
   // Point the fp32 mode's checkpoint dir at the quant (v2) files.
@@ -144,7 +144,7 @@ TEST_F(PrecisionReloadTest, Fp32ModeRefusesQuantizedArtifacts) {
 }
 
 TEST_F(PrecisionReloadTest, Int8ModeServesQuantDir) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   LandQuantArtifact(*trainer, dir, 7);
   ModelBundle bundle(dataset(), split(),
@@ -155,7 +155,7 @@ TEST_F(PrecisionReloadTest, Int8ModeServesQuantDir) {
 }
 
 TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   const size_t epoch = SmallServeModelConfig().num_epochs;
 
@@ -215,7 +215,7 @@ TEST_F(PrecisionReloadTest, ResultCacheKeysDistinguishPrecision) {
 // fp32 underneath them. Captured snapshots must keep scoring their own
 // parameters bit-stably through both swaps.
 TEST_F(PrecisionReloadTest, WatcherSwapsPrecisionUnderConcurrentScoring) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   const size_t epoch = SmallServeModelConfig().num_epochs;
 

@@ -84,7 +84,7 @@ class ReloadFaultTest : public ::testing::Test {
 ServeFixture* ReloadFaultTest::fixture_ = nullptr;
 
 TEST_F(ReloadFaultTest, FailedReloadKeepsOldSnapshotAndIsVisible) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   TrainSmallModel(*fixture_, dir);
   const size_t epoch = SmallServeModelConfig().num_epochs;
 
@@ -153,7 +153,7 @@ TEST_F(ReloadFaultTest, FailedReloadKeepsOldSnapshotAndIsVisible) {
 // Arm the fault before StartWatcher and then touch only atomics until
 // StopWatcher — FaultInjectionEnv itself is not thread-safe.
 TEST_F(ReloadFaultTest, WatcherSurvivesTornQuantReloadAndRecovers) {
-  const std::string dir = ServeTestDir();
+  const std::string dir = TestScratchDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
   const size_t epoch = SmallServeModelConfig().num_epochs;
   LandQuantArtifact(*trainer, dir, epoch);

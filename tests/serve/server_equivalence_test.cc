@@ -1,11 +1,13 @@
-// Byte-level equivalence between the two serving modes: the epoll
-// event-loop core and the blocking thread-per-connection reference are two
-// independent implementations of the same HTTP contract, and these tests
-// pin that contract at the strongest possible level — every response
-// (status line, headers, body) must be byte-for-byte identical across modes
-// for the same request stream. Covers the success paths, every parameter
-// error, protocol errors, keep-alive semantics, request timeouts, and
-// model hot-reload; plus shutdown-under-fire robustness for the epoll core.
+// Byte-level contract of the serving core: every response — status line,
+// headers and body — must equal the bytes pinned here. Responses without
+// scores or paths (the parameter-error precedence matrix, unknown paths and
+// methods, protocol errors, 408/431, Connection: close) are written out
+// literally. Success responses carry %.17g scores and a checkpoint path, so
+// their bytes are built by RecommendResponse/HealthzResponse from the
+// offline ranking of the trained model and from the serving snapshot; the
+// scalar, SIMD and sanitizer builds each check against their own arithmetic.
+// Covers the success paths, cache hit/miss flags, keep-alive semantics,
+// request timeouts and model hot-reload, plus shutdown under fire.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -13,12 +15,15 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,9 +44,7 @@
 namespace sttr::serve {
 namespace {
 
-/// One complete serving stack (bundle + cache + batcher + server) in a
-/// given mode. Each side owns its mutable state so cache hit/miss sequences
-/// evolve in lockstep when both sides see the same request stream.
+/// One complete serving stack: bundle + cache + batcher + server.
 struct Side {
   ServeStats stats;
   std::unique_ptr<ModelBundle> bundle;
@@ -55,16 +58,29 @@ struct Side {
   }
 };
 
+std::string Request(const std::string& method, const std::string& target) {
+  return method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
+}
+
+/// A /recommend target and the point the server parses out of it.
+struct Query {
+  std::string target;
+  GeoPoint loc;
+};
+
 class EquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
-    ckpt_dir_ = new std::string(ServeTestDir());
-    TrainSmallModel(*fixture_, *ckpt_dir_);
+    ckpt_dir_ = new std::string(TestScratchDir());
+    model_ = new std::shared_ptr<StTransRec>(
+        TrainSmallModel(*fixture_, *ckpt_dir_));
   }
   static void TearDownTestSuite() {
+    delete model_;
     delete ckpt_dir_;
     delete fixture_;
+    model_ = nullptr;
     ckpt_dir_ = nullptr;
     fixture_ = nullptr;
   }
@@ -73,17 +89,12 @@ class EquivalenceTest : public ::testing::Test {
     index_ = std::make_unique<CandidateIndex>(fixture_->world.dataset,
                                               &fixture_->split,
                                               CandidateIndexConfig{});
-    epoll_ = MakeSide(ServeMode::kEventLoop);
-    blocking_ = MakeSide(ServeMode::kBlocking);
+    side_ = MakeSide();
   }
 
-  void TearDown() override {
-    epoll_.reset();
-    blocking_.reset();
-  }
+  void TearDown() override { side_.reset(); }
 
   std::unique_ptr<Side> MakeSide(
-      ServeMode mode,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(5000)) {
     auto side = std::make_unique<Side>();
     ModelBundleConfig bundle_config;
@@ -100,7 +111,6 @@ class EquivalenceTest : public ::testing::Test {
         std::make_unique<ScoreBatcher>(BatcherConfig{}, &side->stats);
     side->batcher->Start();
     ServerConfig config;
-    config.mode = mode;
     config.num_workers = 4;
     config.request_timeout = timeout;
     config.default_city = fixture_->split.target_city;
@@ -111,220 +121,280 @@ class EquivalenceTest : public ::testing::Test {
     return side;
   }
 
-  GeoPoint PoiLocation(size_t i) {
+  /// A /recommend target at the i-th target-city POI.
+  Query RecommendQuery(UserId user, size_t poi_index, size_t k,
+                       const std::string& extra = "") {
     const auto& pois =
         fixture_->world.dataset.PoisInCity(fixture_->split.target_city);
-    return fixture_->world.dataset.poi(pois[i % pois.size()]).location;
+    const GeoPoint poi =
+        fixture_->world.dataset.poi(pois[poi_index % pois.size()]).location;
+    const std::string lat = StrFormat("%.8f", poi.lat);
+    const std::string lon = StrFormat("%.8f", poi.lon);
+    return {"/recommend?user=" + std::to_string(user) + "&lat=" + lat +
+                "&lon=" + lon + "&k=" + std::to_string(k) + extra,
+            {std::strtod(lat.c_str(), nullptr),
+             std::strtod(lon.c_str(), nullptr)}};
   }
 
-  std::string RecommendTarget(UserId user, size_t loc_index, size_t k,
-                              const std::string& extra = "") {
-    const GeoPoint loc = PoiLocation(loc_index);
-    return "/recommend?user=" + std::to_string(user) +
-           "&lat=" + StrFormat("%.8f", loc.lat) +
-           "&lon=" + StrFormat("%.8f", loc.lon) + "&k=" + std::to_string(k) +
-           extra;
+  /// The bytes of a /recommend for (user, loc, k) in the target city. The
+  /// "cached" flag follows the keys earlier cache-using requests filled.
+  std::string ExpectRecommend(UserId user, const GeoPoint& loc, size_t k,
+                              bool use_cache = true) {
+    const CityId city = fixture_->split.target_city;
+    const std::shared_ptr<const ModelSnapshot> snapshot =
+        side_->bundle->snapshot();
+    RecommendHead head;
+    head.user = user;
+    head.city = city;
+    head.cell = index_->CellOf(city, loc);
+    head.k = k;
+    head.cached = use_cache && !filled_.emplace(user, head.cell, k).second;
+    head.model_epoch = snapshot->epoch;
+    head.model_version = snapshot->version;
+    return RecommendResponse(
+        head, OfflineTopK(**model_, *index_, city, user, loc, k));
   }
 
-  /// The equivalence oracle: same raw request to both sides, responses
-  /// must match byte for byte.
-  void ExpectIdentical(TestHttpClient& a, TestHttpClient& b,
-                       const std::string& raw) {
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << "request: " << raw;
+  std::string ExpectHealthz(bool keep_alive = true) {
+    const std::shared_ptr<const ModelSnapshot> snapshot =
+        side_->bundle->snapshot();
+    return HealthzResponse(snapshot->checkpoint_path, snapshot->epoch,
+                           snapshot->version, keep_alive);
   }
 
   static ServeFixture* fixture_;
   static std::string* ckpt_dir_;
+  static std::shared_ptr<StTransRec>* model_;
 
   std::unique_ptr<CandidateIndex> index_;
-  std::unique_ptr<Side> epoll_;
-  std::unique_ptr<Side> blocking_;
+  std::unique_ptr<Side> side_;
+  /// (user, cell, k) keys the server's result cache holds.
+  std::set<std::tuple<UserId, uint64_t, size_t>> filled_;
 };
 
 ServeFixture* EquivalenceTest::fixture_ = nullptr;
 std::string* EquivalenceTest::ckpt_dir_ = nullptr;
+std::shared_ptr<StTransRec>* EquivalenceTest::model_ = nullptr;
 
-std::string Request(const std::string& method, const std::string& target) {
-  return method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
-}
+/// {raw request, raw response} for every keep-alive error the router
+/// answers: one row per validation branch, in the order the branches are
+/// checked (the order is part of the contract), plus precedence, unknown
+/// paths and unsupported methods.
+const std::vector<std::pair<std::string, std::string>> kErrorMatrix = {
+    {"GET /recommend HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /recommend?lat=1&lon=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /recommend?user=zzz&lat=1&lon=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /recommend?user=-3&lat=1&lon=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /recommend?user=99999999&lat=1&lon=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /recommend?user=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 43\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'lat'/'lon'"})"},
+    {"GET /recommend?user=1&lat=abc&lon=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 43\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'lat'/'lon'"})"},
+    {"GET /recommend?user=1&lat=1&lon= HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 43\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'lat'/'lon'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&city=zz HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'city'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&city=-1 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'city'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&city=99 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'city'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&k=0 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'k'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&k=-2 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'k'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&k=100000 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'k'"})"},
+    {"GET /recommend?user=1&lat=1&lon=1&k=abc HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "invalid 'k'"})"},
+    // Precedence: the user error wins over the lat and k errors.
+    {"GET /recommend?user=zzz&lat=abc&lon=1&k=0 HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "missing or invalid 'user'"})"},
+    {"GET /nosuchpath HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     "Content-Length: 25\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "unknown path"})"},
+    {"GET / HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     "Content-Length: 25\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "unknown path"})"},
+    // Only GET and POST are routed; others are 400 and stay keep-alive.
+    {"DELETE /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+     "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     "Content-Length: 31\r\nConnection: keep-alive\r\n\r\n"
+     R"({"error": "unsupported method"})"},
+};
 
 TEST_F(EquivalenceTest, AllEndpointsAndErrorsAreByteIdentical) {
-  TestHttpClient a(epoll_->server->port());
-  TestHttpClient b(blocking_->server->port());
+  TestHttpClient client(side_->server->port());
+  const auto expect = [&](const std::string& raw, const std::string& want) {
+    EXPECT_EQ(client.Roundtrip(raw).raw, want) << "request: " << raw;
+  };
 
-  std::vector<std::string> targets;
   // Success paths: cold, cached (second hit of the same key), nocache,
-  // varying user/location/k, default k/city, POST.
+  // varying user/location/k.
   for (UserId user = 0; user < 4; ++user) {
-    const auto t =
-        RecommendTarget(user, static_cast<size_t>(user) * 3, 5 + user);
-    targets.push_back(t);
-    targets.push_back(t);  // cached: true on both sides or neither
-    targets.push_back(RecommendTarget(user, static_cast<size_t>(user) * 3,
-                                      5 + user, "&nocache=1"));
+    const size_t k = 5 + static_cast<size_t>(user);
+    const size_t at = static_cast<size_t>(user) * 3;
+    const Query q = RecommendQuery(user, at, k);
+    expect(Request("GET", q.target), ExpectRecommend(user, q.loc, k));
+    expect(Request("GET", q.target), ExpectRecommend(user, q.loc, k));
+    const Query bypass = RecommendQuery(user, at, k, "&nocache=1");
+    expect(Request("GET", bypass.target),
+           ExpectRecommend(user, bypass.loc, k, /*use_cache=*/false));
   }
-  targets.push_back("/recommend?user=1&lat=0.5&lon=0.5");  // default k
-  // Parameter errors, one per validation branch (order matters and is
-  // part of the pinned contract).
-  targets.push_back("/recommend");
-  targets.push_back("/recommend?lat=1&lon=1");
-  targets.push_back("/recommend?user=zzz&lat=1&lon=1");
-  targets.push_back("/recommend?user=-3&lat=1&lon=1");
-  targets.push_back("/recommend?user=99999999&lat=1&lon=1");
-  targets.push_back("/recommend?user=1");
-  targets.push_back("/recommend?user=1&lat=abc&lon=1");
-  targets.push_back("/recommend?user=1&lat=1&lon=");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&city=zz");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&city=-1");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&city=99");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&k=0");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&k=-2");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&k=100000");
-  targets.push_back("/recommend?user=1&lat=1&lon=1&k=abc");
-  // Error precedence: user error wins over lat and k errors.
-  targets.push_back("/recommend?user=zzz&lat=abc&lon=1&k=0");
-  // First-occurrence-wins for duplicate params.
-  targets.push_back("/recommend?user=1&user=zzz&lat=1&lon=1");
-  targets.push_back("/recommend?user=2&lat=1&lat=abc&lon=1&k=5&k=0");
+  // Default k and city.
+  expect(Request("GET", "/recommend?user=1&lat=0.5&lon=0.5"),
+         ExpectRecommend(1, {0.5, 0.5}, 10));
+  // The first occurrence of a duplicated parameter wins.
+  expect(Request("GET", "/recommend?user=1&user=zzz&lat=1&lon=1"),
+         ExpectRecommend(1, {1.0, 1.0}, 10));
+  expect(Request("GET", "/recommend?user=2&lat=1&lat=abc&lon=1&k=5&k=0"),
+         ExpectRecommend(2, {1.0, 1.0}, 5));
   // nocache=0 means "do use the cache".
-  targets.push_back(RecommendTarget(2, 6, 7, "&nocache=0"));
-  // Other endpoints.
-  targets.push_back("/healthz");
-  targets.push_back("/nosuchpath");
-  targets.push_back("/");
+  const Query nocache0 = RecommendQuery(2, 6, 7, "&nocache=0");
+  expect(Request("GET", nocache0.target), ExpectRecommend(2, nocache0.loc, 7));
 
-  for (const auto& target : targets) {
-    ExpectIdentical(a, b, Request("GET", target));
-  }
-  // POST is accepted; other methods are 400 (and stay keep-alive).
-  ExpectIdentical(a, b, Request("POST", "/healthz"));
-  ExpectIdentical(a, b, Request("DELETE", "/healthz"));
-  ExpectIdentical(a, b, Request("GET", "/healthz"));  // conn still usable
+  for (const auto& [raw, want] : kErrorMatrix) expect(raw, want);
+
+  // POST is routed like GET, and the connection is still usable after the
+  // errors above.
+  expect(Request("GET", "/healthz"), ExpectHealthz());
+  expect(Request("POST", "/healthz"), ExpectHealthz());
 }
 
 TEST_F(EquivalenceTest, ProtocolErrorsAreByteIdenticalAndClose) {
-  const std::vector<std::string> raws = {
-      "NONSENSE\r\n\r\n",
-      "GET /\r\n\r\n",
-      "GET / toomany HTTP/1.1\r\n\r\n",
-      "GET / SPDY/3\r\n\r\n",
-  };
-  for (const auto& raw : raws) {
-    TestHttpClient a(epoll_->server->port());
-    TestHttpClient b(blocking_->server->port());
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << raw;
-    EXPECT_EQ(ra.status, 400);
-    EXPECT_TRUE(a.WaitForClose());
-    EXPECT_TRUE(b.WaitForClose());
+  // A malformed request line is answered 400 and closes the connection.
+  const std::string malformed =
+      "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+      "Content-Length: 35\r\nConnection: close\r\n\r\n"
+      R"({"error": "malformed request line"})";
+  for (const std::string raw :
+       {"NONSENSE\r\n\r\n", "GET /\r\n\r\n", "GET / toomany HTTP/1.1\r\n\r\n",
+        "GET / SPDY/3\r\n\r\n"}) {
+    TestHttpClient client(side_->server->port());
+    EXPECT_EQ(client.Roundtrip(raw).raw, malformed) << raw;
+    EXPECT_TRUE(client.WaitForClose());
   }
-  {
-    // Oversized head: 431 on both, byte-identical, then close.
-    TestHttpClient a(epoll_->server->port());
-    TestHttpClient b(blocking_->server->port());
-    const std::string huge =
-        "GET / HTTP/1.1\r\nX-Junk: " + std::string(20'000, 'a');
-    const auto ra = a.Roundtrip(huge);
-    const auto rb = b.Roundtrip(huge);
-    EXPECT_EQ(ra.raw, rb.raw);
-    EXPECT_EQ(ra.status, 431);
-    EXPECT_TRUE(a.WaitForClose());
-    EXPECT_TRUE(b.WaitForClose());
-  }
+  // An oversized head without a terminator: 431, then close.
+  TestHttpClient client(side_->server->port());
+  EXPECT_EQ(client
+                .Roundtrip("GET / HTTP/1.1\r\nX-Junk: " +
+                           std::string(20'000, 'a'))
+                .raw,
+            "HTTP/1.1 431 Request Header Fields Too Large\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 30\r\nConnection: close\r\n\r\n"
+            R"({"error": "request too large"})");
+  EXPECT_TRUE(client.WaitForClose());
 }
 
 TEST_F(EquivalenceTest, ConnectionCloseAndTimeoutsAreByteIdentical) {
   {
-    TestHttpClient a(epoll_->server->port());
-    TestHttpClient b(blocking_->server->port());
-    const std::string raw =
-        "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw);
-    EXPECT_TRUE(a.WaitForClose());
-    EXPECT_TRUE(b.WaitForClose());
+    TestHttpClient client(side_->server->port());
+    EXPECT_EQ(client
+                  .Roundtrip(
+                      "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                  .raw,
+              ExpectHealthz(/*keep_alive=*/false));
+    EXPECT_TRUE(client.WaitForClose());
   }
   {
-    // A stranded partial request gets the same 408 bytes from both modes.
-    // Probe one side at a time: a client connected but not yet sending
-    // would hit the (silent) *idle* close while the other side's 408 is
-    // awaited.
-    auto fast_epoll =
-        MakeSide(ServeMode::kEventLoop, std::chrono::milliseconds(200));
-    auto fast_blocking =
-        MakeSide(ServeMode::kBlocking, std::chrono::milliseconds(200));
-    const auto probe = [](int port) {
-      TestHttpClient client(port);
-      const auto r = client.Roundtrip("GET /part HTTP/1.1\r\nHost:");
-      EXPECT_TRUE(client.WaitForClose());
-      return r;
-    };
-    const auto ra = probe(fast_epoll->server->port());
-    const auto rb = probe(fast_blocking->server->port());
-    EXPECT_EQ(ra.raw, rb.raw);
-    EXPECT_EQ(ra.status, 408);
+    // A stranded partial request gets a 408 once the read timeout fires.
+    auto fast = MakeSide(std::chrono::milliseconds(200));
+    TestHttpClient client(fast->server->port());
+    EXPECT_EQ(client.Roundtrip("GET /part HTTP/1.1\r\nHost:").raw,
+              "HTTP/1.1 408 Request Timeout\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 28\r\nConnection: close\r\n\r\n"
+              R"({"error": "request timeout"})");
+    EXPECT_TRUE(client.WaitForClose());
   }
 }
 
-TEST_F(EquivalenceTest, HotReloadKeepsModesInLockstep) {
-  TestHttpClient a(epoll_->server->port());
-  TestHttpClient b(blocking_->server->port());
-
+TEST_F(EquivalenceTest, HotReloadServesTheNewSnapshotsBytes) {
+  TestHttpClient client(side_->server->port());
   const auto batch = [&](const char* phase) {
     for (UserId user = 0; user < 3; ++user) {
-      const std::string raw = Request(
-          "GET", RecommendTarget(user, static_cast<size_t>(user) * 5, 8));
-      const auto ra = a.Roundtrip(raw);
-      const auto rb = b.Roundtrip(raw);
-      EXPECT_EQ(ra.raw, rb.raw) << phase << ": " << raw;
+      const Query q = RecommendQuery(user, static_cast<size_t>(user) * 5, 8);
+      EXPECT_EQ(client.Roundtrip(Request("GET", q.target)).raw,
+                ExpectRecommend(user, q.loc, 8))
+          << phase << ": " << q.target;
     }
-    const auto ha = a.Roundtrip(Request("GET", "/healthz"));
-    const auto hb = b.Roundtrip(Request("GET", "/healthz"));
-    EXPECT_EQ(ha.raw, hb.raw) << phase;
+    EXPECT_EQ(client.Roundtrip(Request("GET", "/healthz")).raw,
+              ExpectHealthz())
+        << phase;
   };
 
   batch("before reload");
-  EXPECT_NE(a.Get(RecommendTarget(0, 0, 8)).body.find("\"model_version\": 1"),
-            std::string::npos);
+  EXPECT_EQ(side_->bundle->snapshot()->version, 1u);
 
-  // The trainer lands a newer checkpoint; both bundles swap it in at an
+  // The trainer lands a newer checkpoint; the bundle swaps it in at an
   // explicit barrier (the watcher would do the same asynchronously), which
-  // also invalidates both caches via the reload listener.
+  // also invalidates the cache via the reload listener.
   const auto latest = FindLatestValidCheckpoint(*Env::Default(), *ckpt_dir_);
   STTR_CHECK_OK(latest.status());
-  std::filesystem::copy_file(
-      *latest,
-      std::filesystem::path(*ckpt_dir_) / CheckpointFileName(/*epoch=*/7));
-  auto swapped_a = epoll_->bundle->ReloadIfNewer();
-  auto swapped_b = blocking_->bundle->ReloadIfNewer();
-  STTR_CHECK_OK(swapped_a.status());
-  STTR_CHECK_OK(swapped_b.status());
-  ASSERT_TRUE(*swapped_a);
-  ASSERT_TRUE(*swapped_b);
+  const std::filesystem::path newer =
+      std::filesystem::path(*ckpt_dir_) / CheckpointFileName(/*epoch=*/7);
+  std::filesystem::copy_file(*latest, newer);
+  auto swapped = side_->bundle->ReloadIfNewer();
+  STTR_CHECK_OK(swapped.status());
+  ASSERT_TRUE(*swapped);
+  filled_.clear();
+  EXPECT_EQ(side_->bundle->snapshot()->version, 2u);
+  EXPECT_EQ(side_->bundle->snapshot()->checkpoint_path, newer.string());
 
   batch("after reload");
-  // Both sides now serve version 2 / epoch 7 — visible in the payload, so
-  // the byte-equality above already proves lockstep; spot-check anyway.
-  EXPECT_NE(a.Get(RecommendTarget(0, 0, 8)).body.find("\"model_version\": 2"),
-            std::string::npos);
 }
 
 TEST_F(EquivalenceTest, ShutdownUnderConcurrentTrafficIsGraceful) {
-  // Robustness (not byte-parity): shutting the epoll server down while
-  // clients hammer it must never crash, deadlock, or hand out a torn
-  // response — every response that does arrive is complete and well-formed.
+  // Robustness: shutting the server down while clients hammer it must
+  // never crash, deadlock, or hand out a torn response — every response
+  // that does arrive is complete and well-formed.
   constexpr int kClients = 4;
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
   std::vector<std::thread> clients;
-  const int port = epoll_->server->port();
-  const std::string raw = Request("GET", RecommendTarget(1, 2, 5));
+  const int port = side_->server->port();
+  const std::string raw = Request("GET", RecommendQuery(1, 2, 5).target);
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
+    clients.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         // Tolerant client: the server may close at any point; the only
         // failure is a *partial* response (headers promising more body
@@ -365,11 +435,11 @@ TEST_F(EquivalenceTest, ShutdownUnderConcurrentTrafficIsGraceful) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  epoll_->server->Shutdown();
+  side_->server->Shutdown();
   stop.store(true);
   for (auto& t : clients) t.join();
   EXPECT_EQ(torn.load(), 0);
-  EXPECT_FALSE(epoll_->server->running());
+  EXPECT_FALSE(side_->server->running());
 }
 
 }  // namespace

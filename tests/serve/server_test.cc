@@ -2,10 +2,8 @@
 // (bundle + index + batcher + cache + server) must return exactly what the
 // offline ranking path computes — identical POI ids and scores — for lone
 // requests and for concurrent mixed-user traffic; plus endpoint/error
-// semantics, caching behaviour and graceful shutdown. The whole suite runs
-// twice, parameterized over ServeMode: the epoll event-loop core and the
-// blocking thread-per-connection reference must pass the same tests.
-// (Byte-level cross-mode comparisons live in server_equivalence_test.cc.)
+// semantics, caching behaviour and graceful shutdown. (The exact response
+// bytes are pinned in server_equivalence_test.cc.)
 
 #include <algorithm>
 #include <atomic>
@@ -51,13 +49,12 @@ std::vector<std::pair<PoiId, double>> ParseResults(const std::string& body) {
   return out;
 }
 
-/// The full serving stack on an ephemeral loopback port, run once per
-/// ServeMode.
-class ServerTest : public ::testing::TestWithParam<ServeMode> {
+/// The full serving stack on an ephemeral loopback port.
+class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
-    ckpt_dir_ = new std::string(ServeTestDir());
+    ckpt_dir_ = new std::string(TestScratchDir());
     trainer_ = new std::shared_ptr<StTransRec>(
         TrainSmallModel(*fixture_, *ckpt_dir_));
   }
@@ -93,7 +90,6 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
         [this](const ModelSnapshot&) { cache_->InvalidateAll(); });
 
     ServerConfig server_config;
-    server_config.mode = GetParam();
     server_config.num_workers = 4;
     server_config.default_city = fixture_->split.target_city;
     server_ = std::make_unique<RecommendServer>(
@@ -115,12 +111,7 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
   std::vector<std::pair<PoiId, double>> ExpectedTopK(UserId user,
                                                      const GeoPoint& loc,
                                                      size_t k) {
-    const std::vector<PoiId> candidates =
-        index_->Candidates(target_city(), loc);
-    const std::vector<double> scores =
-        (*trainer_)->ScoreBatch(user, {candidates.data(), candidates.size()});
-    return TopKByScore({candidates.data(), candidates.size()},
-                       {scores.data(), scores.size()}, k);
+    return OfflineTopK(**trainer_, *index_, target_city(), user, loc, k);
   }
 
   GeoPoint PoiLocation(size_t i) {
@@ -154,7 +145,7 @@ ServeFixture* ServerTest::fixture_ = nullptr;
 std::string* ServerTest::ckpt_dir_ = nullptr;
 std::shared_ptr<StTransRec>* ServerTest::trainer_ = nullptr;
 
-TEST_P(ServerTest, RecommendMatchesOfflineRankingExactly) {
+TEST_F(ServerTest, RecommendMatchesOfflineRankingExactly) {
   TestHttpClient client(server_->port());
   for (UserId user = 0; user < 5; ++user) {
     const GeoPoint loc = PoiLocation(static_cast<size_t>(user) * 7);
@@ -172,13 +163,12 @@ TEST_P(ServerTest, RecommendMatchesOfflineRankingExactly) {
   }
 }
 
-TEST_P(ServerTest, InlineScoringWithoutBatcherMatchesOfflineRanking) {
+TEST_F(ServerTest, InlineScoringWithoutBatcherMatchesOfflineRanking) {
   // A null batcher puts the server in per-request mode: handlers score
   // inline. Results must still be bit-identical to the offline ranking
   // (and therefore to the batched path, which the other tests pin).
   server_->Shutdown();
   ServerConfig server_config;
-  server_config.mode = GetParam();
   server_config.num_workers = 4;
   server_config.default_city = fixture_->split.target_city;
   server_ = std::make_unique<RecommendServer>(
@@ -202,7 +192,7 @@ TEST_P(ServerTest, InlineScoringWithoutBatcherMatchesOfflineRanking) {
   }
 }
 
-TEST_P(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
+TEST_F(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
   constexpr int kClients = 8;
   constexpr int kPerClient = 5;
   std::atomic<int> mismatches{0};
@@ -229,7 +219,7 @@ TEST_P(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
       << "micro-batched concurrent serving diverged from serial ranking";
 }
 
-TEST_P(ServerTest, CacheServesSecondRequestAndReportsIt) {
+TEST_F(ServerTest, CacheServesSecondRequestAndReportsIt) {
   TestHttpClient client(server_->port());
   const GeoPoint loc = PoiLocation(2);
   const std::string target = RecommendTarget(7, loc, 10);
@@ -251,7 +241,7 @@ TEST_P(ServerTest, CacheServesSecondRequestAndReportsIt) {
   EXPECT_EQ(ParseResults(bypass.body), ParseResults(cold.body));
 }
 
-TEST_P(ServerTest, HealthzReportsServingCheckpoint) {
+TEST_F(ServerTest, HealthzReportsServingCheckpoint) {
   TestHttpClient client(server_->port());
   const auto response = client.Get("/healthz");
   ASSERT_EQ(response.status, 200);
@@ -260,7 +250,7 @@ TEST_P(ServerTest, HealthzReportsServingCheckpoint) {
   EXPECT_NE(response.body.find("\"model_version\": 1"), std::string::npos);
 }
 
-TEST_P(ServerTest, StatzCountsTraffic) {
+TEST_F(ServerTest, StatzCountsTraffic) {
   TestHttpClient client(server_->port());
   client.Get(RecommendTarget(1, PoiLocation(0), 5));
   client.Get("/recommend");  // 400
@@ -272,7 +262,7 @@ TEST_P(ServerTest, StatzCountsTraffic) {
   EXPECT_NE(response.body.find("\"latency_ms\""), std::string::npos);
 }
 
-TEST_P(ServerTest, RejectsBadRequests) {
+TEST_F(ServerTest, RejectsBadRequests) {
   TestHttpClient client(server_->port());
   EXPECT_EQ(client.Get("/recommend").status, 400);  // no params
   EXPECT_EQ(client.Get("/recommend?user=notanumber&lat=1&lon=1").status, 400);
@@ -285,7 +275,7 @@ TEST_P(ServerTest, RejectsBadRequests) {
   EXPECT_GE(stats_.bad_requests.load(), 8u);
 }
 
-TEST_P(ServerTest, RejectsMalformedAndOversizedRequests) {
+TEST_F(ServerTest, RejectsMalformedAndOversizedRequests) {
   {
     TestHttpClient client(server_->port());
     const auto response = client.Roundtrip("NONSENSE\r\n\r\n");
@@ -303,7 +293,7 @@ TEST_P(ServerTest, RejectsMalformedAndOversizedRequests) {
   }
 }
 
-TEST_P(ServerTest, ConnectionCloseHeaderIsHonoured) {
+TEST_F(ServerTest, ConnectionCloseHeaderIsHonoured) {
   TestHttpClient client(server_->port());
   const auto response = client.Roundtrip(
       "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -311,14 +301,14 @@ TEST_P(ServerTest, ConnectionCloseHeaderIsHonoured) {
   EXPECT_TRUE(client.WaitForClose());
 }
 
-TEST_P(ServerTest, GracefulShutdownIsIdempotentAndStopsServing) {
+TEST_F(ServerTest, GracefulShutdownIsIdempotentAndStopsServing) {
   EXPECT_TRUE(server_->running());
   server_->Shutdown();
   EXPECT_FALSE(server_->running());
   server_->Shutdown();  // idempotent
 }
 
-TEST_P(ServerTest, PipelinedRequestsAnswerInOrder) {
+TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
   TestHttpClient client(server_->port());
   const GeoPoint loc = PoiLocation(3);
   std::string burst;
@@ -338,15 +328,6 @@ TEST_P(ServerTest, PipelinedRequestsAnswerInOrder) {
   EXPECT_NE(client.ReadResponse().body.find("\"status\": \"ok\""),
             std::string::npos);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ServerTest,
-                         ::testing::Values(ServeMode::kEventLoop,
-                                           ServeMode::kBlocking),
-                         [](const auto& param_info) {
-                           return param_info.param == ServeMode::kEventLoop
-                                      ? "EventLoop"
-                                      : "Blocking";
-                         });
 
 }  // namespace
 }  // namespace sttr::serve

@@ -115,7 +115,7 @@ TEST(ShutdownRaceTest, BundleConcurrentStopWatcherJoinsOnce) {
   // Empty checkpoint dir: every poll is a NotFound retry, which is exactly
   // the state a watcher spends most of its life in. 1ms keeps it cycling
   // through the wait/reload boundary where StopWatcher must catch it.
-  config.checkpoint_dir = ServeTestDir();
+  config.checkpoint_dir = TestScratchDir();
   config.model = SmallServeModelConfig();
   config.poll_interval = std::chrono::milliseconds(1);
   ModelBundle bundle(fixture.world.dataset, fixture.split, config);
@@ -140,7 +140,7 @@ TEST(ShutdownRaceTest, BundleConcurrentStopWatcherJoinsOnce) {
 TEST(ShutdownRaceTest, BundleStartStopChurnFromManyThreads) {
   ServeFixture fixture = MakeServeFixture();
   ModelBundleConfig config;
-  config.checkpoint_dir = ServeTestDir();
+  config.checkpoint_dir = TestScratchDir();
   config.model = SmallServeModelConfig();
   config.poll_interval = std::chrono::milliseconds(1);
   ModelBundle bundle(fixture.world.dataset, fixture.split, config);

@@ -1,15 +1,11 @@
-// RecommendServer over an EmbeddingStore, end to end over real HTTP, in
-// both ServeModes: a sharded-store server must answer byte-for-byte what an
-// in-process-store server answers (which itself matches a store-less
-// server's scores), and when every shard is down the server must degrade
-// explicitly — "degraded": true with the popularity fallback, /healthz 503
-// with a reason, counters in /statz, and no degraded entry ever poisoning
-// the result cache.
-
-#include <unistd.h>
+// RecommendServer over an EmbeddingStore, end to end over real HTTP: a
+// sharded-store server must answer byte-for-byte what an in-process-store
+// server answers (which itself matches a store-less server's scores), and
+// when every shard is down the server must degrade explicitly — "degraded":
+// true with the popularity fallback, /healthz 503 with a reason, counters in
+// /statz, and no degraded entry ever poisoning the result cache.
 
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,19 +46,11 @@ struct Stack {
   }
 };
 
-class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
+class StoreServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
-    // Not ServeTestDir(): in suite setup that resolves to a suite-named
-    // directory shared by every concurrently running ctest process of this
-    // suite, and its wipe-on-entry would nuke a sibling's checkpoints
-    // mid-load. Keyed by pid instead.
-    std::filesystem::path dir = ::testing::TempDir();
-    dir /= "sttr_store_server_" + std::to_string(::getpid());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    ckpt_dir_ = new std::string(dir.string());
+    ckpt_dir_ = new std::string(TestScratchDir());
     trainer_ = new std::shared_ptr<StTransRec>(
         TrainSmallModel(*fixture_, *ckpt_dir_));
   }
@@ -110,7 +98,6 @@ class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
     }
 
     ServerConfig server_config;
-    server_config.mode = GetParam();
     server_config.num_workers = 4;
     server_config.default_city = fixture_->split.target_city;
     server_config.enable_cache = with_cache;
@@ -158,7 +145,7 @@ std::shared_ptr<StTransRec>* StoreServerTest::trainer_ = nullptr;
 // The bit-identity chain, over the wire: a server gathering rows from shard
 // processes must answer the exact bytes of a server reading the tables
 // directly through the in-process store.
-TEST_P(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
+TEST_F(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
   InProcessEmbeddingStore oracle_store(*trainer_);
   auto sharded_store = MakeShardedStore();
   auto oracle = MakeStack(&oracle_store);
@@ -181,7 +168,7 @@ TEST_P(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
 // And the chain's other link: a store-backed server must not change the
 // *scores* relative to a server with no store at all (whose body differs
 // only by the absent "degraded" field).
-TEST_P(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
+TEST_F(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
   auto storeless = MakeStack(nullptr);
   InProcessEmbeddingStore store(*trainer_);
   auto stored = MakeStack(&store);
@@ -201,7 +188,7 @@ TEST_P(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
   EXPECT_EQ(got.body, want.body);
 }
 
-TEST_P(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
+TEST_F(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
   ShardedStoreOptions opts;
   // One retry so a stale pooled connection (dead since the shutdown below)
   // costs an attempt, not the request; threshold 2 still trips the breaker
@@ -275,15 +262,6 @@ TEST_P(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
   // one.
   EXPECT_NE(degraded.body, recovered.body);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, StoreServerTest,
-                         ::testing::Values(ServeMode::kEventLoop,
-                                           ServeMode::kBlocking),
-                         [](const auto& mode_info) {
-                           return mode_info.param == ServeMode::kEventLoop
-                                      ? "EventLoop"
-                                      : "Blocking";
-                         });
 
 }  // namespace
 }  // namespace sttr::serve

@@ -31,7 +31,7 @@ class ZeroAllocTest : public ::testing::Test {
         << "counting operator new not linked in; the zero-alloc contract "
            "cannot be asserted";
     fixture_ = std::make_unique<ServeFixture>(MakeServeFixture());
-    ckpt_dir_ = ServeTestDir();
+    ckpt_dir_ = TestScratchDir();
     TrainSmallModel(*fixture_, ckpt_dir_);
 
     ModelBundleConfig bundle_config;
@@ -48,7 +48,6 @@ class ZeroAllocTest : public ::testing::Test {
     cache_ = std::make_unique<ResultCache>(ResultCacheConfig{});
 
     ServerConfig server_config;
-    server_config.mode = ServeMode::kEventLoop;
     server_config.num_workers = 1;  // one worker -> one scratch to warm
     server_config.default_city = fixture_->split.target_city;
     // No batcher: scoring runs inline on the worker. Irrelevant for the

@@ -22,7 +22,6 @@ namespace {
 
 using serve::MakeServeFixture;
 using serve::ServeFixture;
-using serve::ServeTestDir;
 using serve::SmallServeModelConfig;
 using serve::TrainSmallModel;
 
@@ -78,7 +77,7 @@ void ExpectTablesBitIdentical(const StTransRec& a, const StTransRec& b) {
 class IncrementalTrainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ServeTestDir();
+    dir_ = TestScratchDir();
     fixture_ = MakeServeFixture();
     TrainSmallModel(fixture_, dir_ + "/ckpt");
     StatusOr<std::string> base =

@@ -1,10 +1,13 @@
 // HTTP-level tests of the streaming ingest endpoint and cold-start serving:
-// /checkin semantics (validation, backpressure, lifecycle) pinned
-// byte-identical across both serving modes, ingest counters on /statz, and
-// the cold-start marker + word-bridge path on /recommend.
+// /checkin semantics (validation, backpressure, lifecycle) pinned to exact
+// response bytes, ingest counters on /statz, and the cold-start marker +
+// word-bridge path on /recommend, whose bytes are rebuilt from the offline
+// word-bridge ranking.
 
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include "../serve/serve_test_util.h"
 #include "../serve/test_http_client.h"
 #include "core/checkpoint.h"
+#include "core/recommender.h"
 #include "core/st_transrec.h"
 #include "serve/batcher.h"
 #include "serve/candidate_index.h"
@@ -30,15 +34,16 @@ namespace {
 using serve::MakeServeFixture;
 using serve::ModelBundle;
 using serve::ModelBundleConfig;
+using serve::OfflineTopK;
+using serve::RecommendHead;
+using serve::RecommendResponse;
 using serve::RecommendServer;
 using serve::ResultCache;
 using serve::ResultCacheConfig;
 using serve::ScoreBatcher;
 using serve::ServeFixture;
-using serve::ServeMode;
 using serve::ServerConfig;
 using serve::ServeStats;
-using serve::ServeTestDir;
 using serve::SmallServeModelConfig;
 using serve::TestHttpClient;
 using serve::TrainSmallModel;
@@ -47,8 +52,40 @@ std::string Request(const std::string& method, const std::string& target) {
   return method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
 }
 
+// /checkin responses carry no scores or paths, so their bytes are written
+// out in full.
+const std::string kInvalidCheckin =
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+    "Content-Length: 29\r\nConnection: keep-alive\r\n\r\n"
+    R"({"error": "invalid check-in"})";
+const std::string kBadUser =
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+    "Content-Length: 38\r\nConnection: keep-alive\r\n\r\n"
+    R"({"error": "missing or invalid 'user'"})";
+const std::string kBadPoi =
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+    "Content-Length: 37\r\nConnection: keep-alive\r\n\r\n"
+    R"({"error": "missing or invalid 'poi'"})";
+const std::string kBadCity =
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+    "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+    R"({"error": "invalid 'city'"})";
+const std::string kBadT =
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+    "Content-Length: 24\r\nConnection: keep-alive\r\n\r\n"
+    R"({"error": "invalid 't'"})";
+
+/// The 200 answer to a check-in the log numbered `seq`; Content-Length 28
+/// holds for one-digit seqs.
+std::string Accepted(int seq) {
+  return "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+         "Content-Length: 28\r\nConnection: keep-alive\r\n\r\n"
+         R"({"accepted": true, "seq": )" +
+         std::to_string(seq) + "}";
+}
+
 /// One serving stack with its own streaming pipeline (stream model, trainer,
-/// ingest service) so the two modes never share mutable state.
+/// ingest service).
 struct Side {
   ServeStats stats;
   std::unique_ptr<ModelBundle> bundle;
@@ -77,12 +114,15 @@ class IngestServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
-    ckpt_dir_ = new std::string(ServeTestDir());
-    TrainSmallModel(*fixture_, *ckpt_dir_);
+    ckpt_dir_ = new std::string(TestScratchDir());
+    model_ = new std::shared_ptr<StTransRec>(
+        TrainSmallModel(*fixture_, *ckpt_dir_));
   }
   static void TearDownTestSuite() {
+    delete model_;
     delete ckpt_dir_;
     delete fixture_;
+    model_ = nullptr;
     ckpt_dir_ = nullptr;
     fixture_ = nullptr;
   }
@@ -96,8 +136,7 @@ class IngestServerTest : public ::testing::Test {
                                           ColdStartConfig{});
   }
 
-  std::unique_ptr<Side> MakeSide(ServeMode mode, const SideOptions& opt,
-                                 const std::string& leaf) {
+  std::unique_ptr<Side> MakeSide(const SideOptions& opt = {}) {
     auto side = std::make_unique<Side>();
     ModelBundleConfig bundle_config;
     bundle_config.checkpoint_dir = *ckpt_dir_;
@@ -117,7 +156,7 @@ class IngestServerTest : public ::testing::Test {
           side->stream_model->Prepare(fixture_->world.dataset,
                                       fixture_->split));
       IncrementalTrainerConfig tcfg;
-      tcfg.delta_dir = ServeTestDir() + "/delta_" + leaf;
+      tcfg.delta_dir = TestScratchDir();
       side->trainer = std::make_unique<IncrementalTrainer>(tcfg);
       STTR_CHECK_OK(side->trainer->Init(
           side->stream_model.get(), fixture_->world.dataset,
@@ -132,7 +171,6 @@ class IngestServerTest : public ::testing::Test {
     }
 
     ServerConfig config;
-    config.mode = mode;
     config.num_workers = 2;
     config.default_city = fixture_->split.target_city;
     side->server = std::make_unique<RecommendServer>(
@@ -163,13 +201,51 @@ class IngestServerTest : public ::testing::Test {
            "&city=" + std::to_string(wrong);
   }
 
-  std::string RecommendTarget(UserId user, const std::string& extra = "") {
+  /// The first target-city POI's location, as the server parses it out of
+  /// RecommendTarget's %.8f query.
+  GeoPoint QueryPoint() const {
     const auto& pois =
         fixture_->world.dataset.PoisInCity(fixture_->split.target_city);
     const GeoPoint loc = fixture_->world.dataset.poi(pois[0]).location;
+    return {std::strtod(StrFormat("%.8f", loc.lat).c_str(), nullptr),
+            std::strtod(StrFormat("%.8f", loc.lon).c_str(), nullptr)};
+  }
+
+  std::string RecommendTarget(UserId user, const std::string& extra = "") {
+    const GeoPoint loc = QueryPoint();
     return "/recommend?user=" + std::to_string(user) +
            "&lat=" + StrFormat("%.8f", loc.lat) +
            "&lon=" + StrFormat("%.8f", loc.lon) + "&k=5" + extra;
+  }
+
+  /// The bytes of a k=5 /recommend at QueryPoint() from a cold-start-enabled
+  /// server that has not cached it: a cold user ranks by the word bridge at
+  /// `hour`'s bucket, a warm one by the trained model.
+  std::string ExpectRecommend(const Side& side, UserId user, bool cold,
+                              double hour = -1.0) const {
+    const CityId city = fixture_->split.target_city;
+    const GeoPoint loc = QueryPoint();
+    const auto snapshot = side.bundle->snapshot();
+    RecommendHead head;
+    head.user = user;
+    head.city = city;
+    head.cell = index_->CellOf(city, loc);
+    head.k = 5;
+    head.cold_start = cold;
+    head.model_epoch = snapshot->epoch;
+    head.model_version = snapshot->version;
+    if (!cold) {
+      return RecommendResponse(
+          head, OfflineTopK(**model_, *index_, city, user, loc, 5));
+    }
+    const std::vector<PoiId> candidates = index_->Candidates(city, loc);
+    std::vector<double> scores;
+    cold_scorer_->Score((*model_)->WordEmbeddingTable(), user,
+                        cold_scorer_->BucketOf(hour),
+                        {candidates.data(), candidates.size()}, &scores);
+    return RecommendResponse(
+        head, TopKByScore({candidates.data(), candidates.size()},
+                          {scores.data(), scores.size()}, 5));
   }
 
   /// A user with check-ins but none in the target city, or -1.
@@ -198,6 +274,7 @@ class IngestServerTest : public ::testing::Test {
 
   static ServeFixture* fixture_;
   static std::string* ckpt_dir_;
+  static std::shared_ptr<StTransRec>* model_;
 
   std::unique_ptr<serve::CandidateIndex> index_;
   std::unique_ptr<ColdStartScorer> cold_scorer_;
@@ -205,76 +282,76 @@ class IngestServerTest : public ::testing::Test {
 
 ServeFixture* IngestServerTest::fixture_ = nullptr;
 std::string* IngestServerTest::ckpt_dir_ = nullptr;
+std::shared_ptr<StTransRec>* IngestServerTest::model_ = nullptr;
 
-TEST_F(IngestServerTest, CheckinByteIdenticalAcrossModes) {
-  auto epoll = MakeSide(ServeMode::kEventLoop, {}, "eq_epoll");
-  auto blocking = MakeSide(ServeMode::kBlocking, {}, "eq_blocking");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
+TEST_F(IngestServerTest, CheckinResponsesMatchExpectedBytes) {
+  auto side = MakeSide();
+  TestHttpClient client(side->server->port());
 
-  const std::vector<std::string> requests = {
-      Request("POST", CheckinTarget(0)),
-      Request("GET", CheckinTarget(1)),
+  const std::vector<std::pair<std::string, std::string>> exchanges = {
+      {Request("POST", CheckinTarget(0)), Accepted(1)},
+      {Request("GET", CheckinTarget(1)), Accepted(2)},
       // Optional params omitted: city derived from the POI, unknown time.
-      Request("POST", CheckinTarget(2, false, false)),
+      {Request("POST", CheckinTarget(2, false, false)), Accepted(3)},
       // Parse-level errors, one per parameter.
-      Request("POST", "/checkin?poi=1"),
-      Request("POST", "/checkin?user=abc&poi=1"),
-      Request("POST", "/checkin?user=1"),
-      Request("POST", "/checkin?user=1&poi=zz"),
-      Request("POST", "/checkin?user=1&poi=1&city=xx"),
-      Request("POST", "/checkin?user=1&poi=1&t=-2"),
-      Request("POST", "/checkin?user=1&poi=1&t=nope"),
+      {Request("POST", "/checkin?poi=1"), kBadUser},
+      {Request("POST", "/checkin?user=abc&poi=1"), kBadUser},
+      {Request("POST", "/checkin?user=1"), kBadPoi},
+      {Request("POST", "/checkin?user=1&poi=zz"), kBadPoi},
+      {Request("POST", "/checkin?user=1&poi=1&city=xx"), kBadCity},
+      {Request("POST", "/checkin?user=1&poi=1&t=-2"), kBadT},
+      {Request("POST", "/checkin?user=1&poi=1&t=nope"), kBadT},
       // Semantic errors (Submit's job): out-of-range ids, mismatched city,
       // and a city that would overflow CityId's range.
-      Request("POST", "/checkin?user=999999&poi=1"),
-      Request("POST", "/checkin?user=1&poi=999999"),
-      Request("POST", MismatchedCityTarget()),
-      Request("POST", "/checkin?user=1&poi=1&city=4294967296"),
+      {Request("POST", "/checkin?user=999999&poi=1"), kInvalidCheckin},
+      {Request("POST", "/checkin?user=1&poi=999999"), kInvalidCheckin},
+      {Request("POST", MismatchedCityTarget()), kInvalidCheckin},
+      {Request("POST", "/checkin?user=1&poi=1&city=4294967296"),
+       kInvalidCheckin},
   };
-  for (const std::string& raw : requests) {
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << "request: " << raw;
+  for (const auto& [raw, want] : exchanges) {
+    EXPECT_EQ(client.Roundtrip(raw).raw, want) << "request: " << raw;
   }
 }
 
-TEST_F(IngestServerTest, CheckinWithoutIngestIs404BothModes) {
+TEST_F(IngestServerTest, CheckinWithoutIngestIs404) {
   SideOptions opt;
   opt.with_ingest = false;
-  auto epoll = MakeSide(ServeMode::kEventLoop, opt, "no_ingest_e");
-  auto blocking = MakeSide(ServeMode::kBlocking, opt, "no_ingest_b");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
-  const std::string raw = Request("POST", CheckinTarget(0));
-  const auto ra = a.Roundtrip(raw);
-  const auto rb = b.Roundtrip(raw);
-  EXPECT_EQ(ra.status, 404);
-  EXPECT_NE(ra.body.find("ingest not enabled"), std::string::npos);
-  EXPECT_EQ(ra.raw, rb.raw);
+  auto side = MakeSide(opt);
+  TestHttpClient client(side->server->port());
+  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(0))).raw,
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+            "Content-Length: 31\r\nConnection: keep-alive\r\n\r\n"
+            R"({"error": "ingest not enabled"})");
 }
 
 TEST_F(IngestServerTest, CheckinBackpressureAndStopAre503) {
   SideOptions opt;
   opt.queue_capacity = 2;  // loop not started: nothing drains
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "bp");
+  auto side = MakeSide(opt);
   TestHttpClient client(side->server->port());
-  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(0))).status, 200);
-  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(1))).status, 200);
-  const auto full = client.Roundtrip(Request("POST", CheckinTarget(2)));
-  EXPECT_EQ(full.status, 503);
-  EXPECT_NE(full.body.find("ingest queue full"), std::string::npos);
+  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(0))).raw,
+            Accepted(1));
+  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(1))).raw,
+            Accepted(2));
+  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(2))).raw,
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 30\r\nConnection: keep-alive\r\n\r\n"
+            R"({"error": "ingest queue full"})");
 
   side->ingest->Stop();
-  const auto stopped = client.Roundtrip(Request("POST", CheckinTarget(3)));
-  EXPECT_EQ(stopped.status, 503);
-  EXPECT_NE(stopped.body.find("ingest stopped"), std::string::npos);
+  EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(3))).raw,
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+            R"({"error": "ingest stopped"})");
 }
 
 TEST_F(IngestServerTest, AcceptedCheckinsReachTrainerAndStatz) {
   SideOptions opt;
   opt.start_ingest_loop = true;
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "train");
+  auto side = MakeSide(opt);
   TestHttpClient client(side->server->port());
   for (size_t i = 0; i < 10; ++i) {
     const auto r = client.Roundtrip(Request("POST", CheckinTarget(i)));
@@ -297,7 +374,7 @@ TEST_F(IngestServerTest, AcceptedCheckinsReachTrainerAndStatz) {
 }
 
 TEST_F(IngestServerTest, ColdStartRecommendUsesWordBridge) {
-  auto side = MakeSide(ServeMode::kEventLoop, {}, "cold");
+  auto side = MakeSide();
   TestHttpClient client(side->server->port());
   const UserId cold = FindColdUser();
   const UserId warm = FindWarmUser();
@@ -328,7 +405,7 @@ TEST_F(IngestServerTest, ColdStartRecommendUsesWordBridge) {
 TEST_F(IngestServerTest, ColdStartMarkerAbsentWithoutScorer) {
   SideOptions opt;
   opt.with_cold_start = false;
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "nocold");
+  auto side = MakeSide(opt);
   TestHttpClient client(side->server->port());
   const auto resp =
       client.Roundtrip(Request("GET", RecommendTarget(FindColdUser())));
@@ -336,21 +413,27 @@ TEST_F(IngestServerTest, ColdStartMarkerAbsentWithoutScorer) {
   EXPECT_EQ(resp.body.find("cold_start"), std::string::npos);
 }
 
-TEST_F(IngestServerTest, ColdStartByteIdenticalAcrossModes) {
-  auto epoll = MakeSide(ServeMode::kEventLoop, {}, "cold_e");
-  auto blocking = MakeSide(ServeMode::kBlocking, {}, "cold_b");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
+TEST_F(IngestServerTest, ColdStartResponsesMatchExpectedBytes) {
+  auto side = MakeSide();
+  TestHttpClient client(side->server->port());
   const UserId cold = FindColdUser();
+  const UserId warm = FindWarmUser();
   ASSERT_GE(cold, 0);
-  for (const std::string& target :
-       {RecommendTarget(cold), RecommendTarget(cold, "&hour=8"),
-        RecommendTarget(cold, "&hour=-1"),
-        RecommendTarget(FindWarmUser(), "&hour=20")}) {
-    const std::string raw = Request("GET", target);
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << "request: " << raw;
+  ASSERT_GE(warm, 0);
+  const std::vector<std::pair<std::string, std::string>> exchanges = {
+      {RecommendTarget(cold), ExpectRecommend(*side, cold, /*cold=*/true)},
+      {RecommendTarget(cold, "&hour=8"),
+       ExpectRecommend(*side, cold, /*cold=*/true, 8.0)},
+      {RecommendTarget(cold, "&hour=-1"),
+       "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+       "Content-Length: 27\r\nConnection: keep-alive\r\n\r\n"
+       R"({"error": "invalid 'hour'"})"},
+      {RecommendTarget(warm, "&hour=20"),
+       ExpectRecommend(*side, warm, /*cold=*/false)},
+  };
+  for (const auto& [target, want] : exchanges) {
+    EXPECT_EQ(client.Roundtrip(Request("GET", target)).raw, want)
+        << "request: " << target;
   }
 }
 

@@ -20,14 +20,13 @@ namespace {
 
 using serve::MakeServeFixture;
 using serve::ServeFixture;
-using serve::ServeTestDir;
 using serve::SmallServeModelConfig;
 using serve::TrainSmallModel;
 
 class IngestServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ServeTestDir();
+    dir_ = TestScratchDir();
     fixture_ = MakeServeFixture();
     TrainSmallModel(fixture_, dir_ + "/ckpt");
     StatusOr<std::string> base =

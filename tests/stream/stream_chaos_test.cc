@@ -26,14 +26,13 @@ using serve::MakeServeFixture;
 using serve::ModelBundle;
 using serve::ModelBundleConfig;
 using serve::ServeFixture;
-using serve::ServeTestDir;
 using serve::SmallServeModelConfig;
 using serve::TrainSmallModel;
 
 class StreamChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ServeTestDir();
+    dir_ = TestScratchDir();
     fixture_ = MakeServeFixture();
     TrainSmallModel(fixture_, dir_ + "/ckpt");
     StatusOr<std::string> base =

@@ -34,14 +34,13 @@ using serve::ModelSnapshot;
 using serve::ResultCache;
 using serve::ResultCacheConfig;
 using serve::ServeFixture;
-using serve::ServeTestDir;
 using serve::SmallServeModelConfig;
 using serve::TrainSmallModel;
 
 class StreamE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ServeTestDir();
+    dir_ = TestScratchDir();
     fixture_ = MakeServeFixture();
     TrainSmallModel(fixture_, dir_ + "/ckpt");
   }

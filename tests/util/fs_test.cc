@@ -1,24 +1,15 @@
 #include "util/fs.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "../scratch_dir.h"
 #include "util/fault_injection.h"
 
 namespace sttr {
 namespace {
-
-std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_fs_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 TEST(PathTest, DirAndBaseName) {
   EXPECT_EQ(DirName("/a/b/c.txt"), "/a/b");
@@ -34,7 +25,7 @@ TEST(PathTest, TempFileNameDetection) {
 
 TEST(EnvTest, WriteReadRoundTrip) {
   Env& env = *Env::Default();
-  const std::string path = TestDir() + "/f.bin";
+  const std::string path = TestScratchDir() + "/f.bin";
   const std::string data("hello\0world", 11);  // embedded NUL survives
   ASSERT_TRUE(env.WriteFile(path, data).ok());
   auto read = env.ReadFile(path);
@@ -43,14 +34,14 @@ TEST(EnvTest, WriteReadRoundTrip) {
 }
 
 TEST(EnvTest, ReadMissingFileIsIOError) {
-  auto r = Env::Default()->ReadFile(TestDir() + "/missing");
+  auto r = Env::Default()->ReadFile(TestScratchDir() + "/missing");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 TEST(EnvTest, CreateDirIsRecursiveAndIdempotent) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir() + "/a/b/c";
+  const std::string dir = TestScratchDir() + "/a/b/c";
   ASSERT_TRUE(env.CreateDir(dir).ok());
   ASSERT_TRUE(env.CreateDir(dir).ok());
   EXPECT_TRUE(env.WriteFile(dir + "/f", "x").ok());
@@ -58,7 +49,7 @@ TEST(EnvTest, CreateDirIsRecursiveAndIdempotent) {
 
 TEST(EnvTest, ListDirSortedFilesOnly) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   ASSERT_TRUE(env.WriteFile(dir + "/b.txt", "b").ok());
   ASSERT_TRUE(env.WriteFile(dir + "/a.txt", "a").ok());
   ASSERT_TRUE(env.CreateDir(dir + "/subdir").ok());
@@ -69,7 +60,7 @@ TEST(EnvTest, ListDirSortedFilesOnly) {
 
 TEST(EnvTest, RenameReplacesAndRemoveDeletes) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   ASSERT_TRUE(env.WriteFile(dir + "/old", "new contents").ok());
   ASSERT_TRUE(env.WriteFile(dir + "/target", "previous").ok());
   ASSERT_TRUE(env.Rename(dir + "/old", dir + "/target").ok());
@@ -81,7 +72,7 @@ TEST(EnvTest, RenameReplacesAndRemoveDeletes) {
 
 TEST(AtomicWriteTest, WritesAndReplacesWithoutResidue) {
   Env& env = *Env::Default();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   const std::string path = dir + "/state.bin";
   ASSERT_TRUE(AtomicWriteFile(env, path, "v1").ok());
   EXPECT_EQ(*env.ReadFile(path), "v1");
@@ -99,7 +90,7 @@ using Op = FaultInjectionEnv::Op;
 
 TEST(FaultInjectionTest, FailsExactlyTheScheduledOp) {
   FaultInjectionEnv env;
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   env.FailNth(Op::kWrite, 1);
   EXPECT_TRUE(env.WriteFile(dir + "/a", "x").ok());   // op 0
   auto second = env.WriteFile(dir + "/b", "x");       // op 1: injected
@@ -115,7 +106,7 @@ TEST(FaultInjectionTest, ResetClearsFaultsAndCounters) {
   FaultInjectionEnv env;
   env.FailNth(Op::kRename, 0);
   env.Reset();
-  const std::string dir = TestDir();
+  const std::string dir = TestScratchDir();
   ASSERT_TRUE(env.WriteFile(dir + "/a", "x").ok());
   EXPECT_TRUE(env.Rename(dir + "/a", dir + "/b").ok());
   EXPECT_EQ(env.faults_triggered(), 0u);
@@ -126,7 +117,7 @@ TEST(FaultInjectionTest, TornWriteLeavesHalfTheData) {
   FaultInjectionEnv env;
   env.set_torn_writes(true);
   env.FailNth(Op::kWrite, 0);
-  const std::string path = TestDir() + "/torn";
+  const std::string path = TestScratchDir() + "/torn";
   ASSERT_FALSE(env.WriteFile(path, "0123456789").ok());
   auto left = Env::Default()->ReadFile(path);
   ASSERT_TRUE(left.ok());
@@ -135,7 +126,7 @@ TEST(FaultInjectionTest, TornWriteLeavesHalfTheData) {
 
 TEST(AtomicWriteTest, FailedWriteLeavesTargetUntouched) {
   FaultInjectionEnv env;
-  const std::string path = TestDir() + "/state.bin";
+  const std::string path = TestScratchDir() + "/state.bin";
   ASSERT_TRUE(AtomicWriteFile(env, path, "v1").ok());
   for (Op op : {Op::kWrite, Op::kFsync, Op::kRename}) {
     env.Reset();

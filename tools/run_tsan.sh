@@ -4,7 +4,7 @@
 # and runs the concurrency-heavy tier-1 tests (thread pool, parallel trainer,
 # sparse all-reduce, and the serving subsystem: score batcher, result cache,
 # checkpoint hot-reload under concurrent scoring, HTTP server, epoll event
-# loop, the blocking/epoll equivalence suite, and the sharded embedding
+# loop, the response-bytes suite, and the sharded embedding
 # store: router fan-out with retries and circuit breakers, shard servers
 # being killed and restarted under concurrent load, reloads racing
 # injected checkpoint-read faults, and the streaming ingestion subsystem:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: the rules the compilers cannot see.
 
-Four invariants, each load-bearing for the reproduction's contract
+The invariants, each load-bearing for the reproduction's contract
 (bit-identical results under any worker count, tier-1 gating in CI):
 
   banned-randomness   All randomness flows through src/util/rng.* (sttr::Rng,
@@ -31,6 +31,12 @@ Four invariants, each load-bearing for the reproduction's contract
                       exactly the ones that never get tested. (::poll was
                       added when the router's fan-out loop was found to
                       escape the seam; ::accept4 preemptively with it.)
+  raw-tempdir         Tests get scratch space only from TestScratchDir() in
+                      tests/scratch_dir.h, which is unique per process and
+                      per test and removed at teardown. A direct
+                      ::testing::TempDir() path is shared by every ctest
+                      process of a suite, so under `ctest -j` they wipe each
+                      other's files.
 
 Runs as a tier-1 ctest (sttr_lint) plus a fixture-driven self-test
 (sttr_lint_selftest); see tools/README.md.
@@ -51,6 +57,8 @@ RULES = {
     "raw-socket":
         "raw ::connect/::send/::recv/::poll/::accept4 outside "
         "src/util/socket_io.*",
+    "raw-tempdir":
+        "test calls ::testing::TempDir() instead of TestScratchDir()",
 }
 
 # Randomness sources that bypass sttr::Rng. \b guards keep identifiers like
@@ -78,6 +86,9 @@ TEST_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](?:\.\./)*tests/')
 # place a bare ::send belongs.
 RAW_SOCKET = re.compile(r"(?<![\w:])::(?:connect|send|recv|poll|accept4)\s*\(")
 
+# gtest's shared temp dir; qualified or not, only the scratch helper may ask.
+RAW_TEMPDIR = re.compile(r"\bTempDir\s*\(")
+
 ESCAPE_MACRO = "NO_THREAD_SAFETY_ANALYSIS"
 
 # Files whose existence defines the allowed homes of the banned constructs.
@@ -85,6 +96,7 @@ RNG_HOME = ("src/util/rng.h", "src/util/rng.cc")
 MUTEX_HOME = ("src/util/mutex.h",)
 ANNOTATIONS_HOME = ("src/util/thread_annotations.h",)
 SOCKET_HOME = ("src/util/socket_io.h", "src/util/socket_io.cc")
+SCRATCH_HOME = ("tests/scratch_dir.h",)
 
 FIXTURE_DIR = "tests/lint_fixtures"
 
@@ -250,6 +262,25 @@ def lint_source_file(rel_path, source):
     return violations
 
 
+def lint_test_file(rel_path, source):
+    """Rules over one tests/ file; `rel_path` uses forward slashes."""
+    if rel_path in SCRATCH_HOME:
+        return []
+    raw = source.splitlines()
+    return [
+        Violation("raw-tempdir", rel_path, lineno, raw[lineno - 1])
+        for lineno, line in enumerate(
+            strip_comments_and_strings(source).splitlines(), start=1)
+        if RAW_TEMPDIR.search(line)
+    ]
+
+
+def lint_file(rel_path, source):
+    if rel_path.startswith("tests/"):
+        return lint_test_file(rel_path, source)
+    return lint_source_file(rel_path, source)
+
+
 def lint_tier1_registration(tests_dir, cmakelists_path):
     """Every *_test.cc under `tests_dir` must be named in an sttr_test()
 
@@ -291,11 +322,13 @@ def iter_source_files(src_dir):
 
 def lint_repo(repo_root):
     violations = []
-    src_dir = os.path.join(repo_root, "src")
-    for path in iter_source_files(src_dir):
-        rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
-        with open(path, encoding="utf-8") as f:
-            violations.extend(lint_source_file(rel, f.read()))
+    for top in ("src", "tests"):
+        for path in iter_source_files(os.path.join(repo_root, top)):
+            rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
+            if rel.startswith(FIXTURE_DIR + "/"):
+                continue
+            with open(path, encoding="utf-8") as f:
+                violations.extend(lint_file(rel, f.read()))
     violations.extend(
         lint_tier1_registration(
             os.path.join(repo_root, "tests"),
@@ -327,7 +360,7 @@ def self_test(repo_root):
         as_match = FIXTURE_AS.search(source)
         rel_path = as_match.group(1) if as_match else f"src/{name}"
         expected = sorted(EXPECT.findall(source))
-        got = sorted({v.rule for v in lint_source_file(rel_path, source)})
+        got = sorted({v.rule for v in lint_file(rel_path, source)})
         if got != expected:
             failures += 1
             print(f"self-test FAIL {name} (as {rel_path}):\n"

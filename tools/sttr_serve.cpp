@@ -57,9 +57,8 @@ void DefineFlags(FlagParser& flags) {
                "train + checkpoint first when ckpt_dir has no valid "
                "checkpoint");
   flags.Define("port", "TCP port to listen on (0 = ephemeral)", "0");
-  flags.Define("mode", "serving core: epoll | blocking", "epoll");
   flags.Define("workers", "scoring worker threads", "8");
-  flags.Define("io_threads", "epoll event-loop threads (--mode=epoll)", "1");
+  flags.Define("io_threads", "epoll event-loop threads", "1");
   flags.Define("grid_rows", "candidate index grid rows", "16");
   flags.Define("grid_cols", "candidate index grid cols", "16");
   flags.Define("min_candidates", "candidate list size target per query",
@@ -351,14 +350,6 @@ int Main(int argc, char** argv) {
 
   serve::ServerConfig server_cfg;
   server_cfg.port = static_cast<int>(flags.GetInt("port", 0));
-  const std::string mode = flags.GetString("mode", "epoll");
-  if (mode == "blocking") {
-    server_cfg.mode = serve::ServeMode::kBlocking;
-  } else if (mode != "epoll") {
-    std::fprintf(stderr, "unknown --mode=%s (epoll | blocking)\n",
-                 mode.c_str());
-    return 2;
-  }
   server_cfg.num_workers = static_cast<size_t>(flags.GetInt("workers", 8));
   server_cfg.num_io_threads =
       static_cast<size_t>(flags.GetInt("io_threads", 1));
