@@ -16,9 +16,7 @@ using NodePtr = std::shared_ptr<Node>;
 }  // namespace
 
 Variable MatMul(const Variable& a, const Variable& b) {
-  // Bit-identical to the serial kernel; large batches shard across the
-  // global pool (no-op inside ParallelTrainer workers, see ThreadPool).
-  Tensor out = sttr::ParallelMatMul(a.value(), b.value());
+  Tensor out = sttr::MatMul(a.value(), b.value());
   NodePtr na = a.node(), nb = b.node();
   return MakeNode(
       std::move(out), {na, nb},
@@ -92,10 +90,12 @@ Variable AddRowBroadcast(const Variable& x, const Variable& bias) {
       [nx, nb](Node& self) {
         if (nx->requires_grad) nx->EnsureGrad().AddInPlace(self.grad);
         if (nb->requires_grad) {
-          Tensor colsum = ColSum(self.grad);
+          const Tensor colsum = ColSum(self.grad);
           Tensor& g = nb->EnsureGrad();
           STTR_CHECK_EQ(g.size(), colsum.size());
-          for (size_t j = 0; j < g.size(); ++j) g[j] += colsum[j];
+          float* gd = g.data();
+          const float* cs = colsum.data();
+          for (size_t j = 0, m = g.size(); j < m; ++j) gd[j] += cs[j];
         }
       },
       "add_bias");
@@ -109,8 +109,14 @@ Variable Relu(const Variable& x) {
       [nx](Node& self) {
         if (!nx->requires_grad) return;
         Tensor& g = nx->EnsureGrad();
-        for (size_t i = 0; i < g.size(); ++i) {
-          if (self.value[i] > 0.0f) g[i] += self.grad[i];
+        STTR_CHECK_EQ(g.size(), self.grad.size());
+        float* gd = g.data();
+        const float* y = self.value.data();
+        const float* dy = self.grad.data();
+        // Adding -0.0f leaves every float (+0, -0 and NaN included)
+        // unchanged, so this equals skipping the add where y <= 0.
+        for (size_t i = 0, size = g.size(); i < size; ++i) {
+          gd[i] += y[i] > 0.0f ? dy[i] : -0.0f;
         }
       },
       "relu");
@@ -188,8 +194,9 @@ Variable Dropout(const Variable& x, float rate, bool training, Rng& rng) {
   const float keep = 1.0f - rate;
   const float inv_keep = 1.0f / keep;
   Tensor mask(x.value().shape());
-  for (size_t i = 0; i < mask.size(); ++i) {
-    mask[i] = rng.Bernoulli(keep) ? inv_keep : 0.0f;
+  float* md = mask.data();
+  for (size_t i = 0, size = mask.size(); i < size; ++i) {
+    md[i] = rng.Bernoulli(keep) ? inv_keep : 0.0f;
   }
   Tensor out = sttr::Mul(x.value(), mask);
   NodePtr nx = x.node();

@@ -211,7 +211,9 @@ std::vector<double> QuantizedModel::ScoreCore(
   if (n == 0) return {};
   const size_t d = dim_;
   const size_t h0 = w0t_.rows;
-  Tensor h({n, h0});
+  // Layer 0 writes slot 0; each tail layer reads one slot and writes the
+  // other, bias and ReLU fused into its GEMM.
+  float* h = ThreadActivationBuffer(0, n * h0);
   for (size_t i = 0; i < n; ++i) {
     const UserId u = users[i];
     const PoiId v = pois[i];
@@ -227,7 +229,7 @@ std::vector<double> QuantizedModel::ScoreCore(
     const float sv = poi_q_.scale(static_cast<size_t>(v));
     const int32_t zu = user_q_.zero_point(static_cast<size_t>(u));
     const int32_t zv = poi_q_.zero_point(static_cast<size_t>(v));
-    float* hrow = h.row(i);
+    float* hrow = h + i * h0;
     for (size_t j = 0; j < h0; ++j) {
       const int8_t* qw = w0t_.row(j);
       const int32_t top = simd::DotI8(qu, qw, d);
@@ -237,16 +239,21 @@ std::vector<double> QuantizedModel::ScoreCore(
           b0_[j] +
           su * sw * static_cast<float>(top - zu * w0_colsum_top_[j]) +
           sv * sw * static_cast<float>(bot - zv * w0_colsum_bot_[j]);
-      if (layer0_relu_ && out < 0.0f) out = 0.0f;
-      hrow[j] = out;
+      hrow[j] = layer0_relu_ ? ReluScalar(out) : out;
     }
   }
-  Tensor cur = std::move(h);
+  const float* cur = h;
+  size_t width = h0;
+  size_t slot = 1;
   for (size_t l = 0; l < tail_weights_.size(); ++l) {
-    Tensor z = AddRowBroadcast(ParallelMatMul(cur, tail_weights_[l]),
-                               tail_biases_[l]);
+    const Tensor& w = tail_weights_[l];
+    float* next = ThreadActivationBuffer(slot, n * w.cols());
     // Hidden tail layers get ReLU; the final (output) layer stays a logit.
-    cur = (l + 1 == tail_weights_.size()) ? std::move(z) : Relu(z);
+    MatMulBiasInto(cur, n, width, w, tail_biases_[l],
+                   /*relu=*/l + 1 < tail_weights_.size(), next);
+    cur = next;
+    width = w.cols();
+    slot ^= 1;
   }
   std::vector<double> out(n);
   // Scalar sigmoid, same reason as the fp32 scorer: keeps every batch

@@ -56,9 +56,10 @@ struct QuantizationConfig {
 ///
 /// Scoring is deterministic: the int8 dot products are exact integer
 /// arithmetic (bit-identical between the AVX2 kernel and the scalar
-/// fallback — see tensor/simd.h), and the fp32 tail reuses the same
-/// ParallelMatMul contract the fp32 scorer relies on. Thread-safe after
-/// construction (all state is immutable).
+/// fallback — see tensor/simd.h), and the fp32 tail runs the same fused
+/// MatMulBiasInto layers as the fp32 scorer, on the calling thread in its
+/// ThreadActivationBuffer slots. Thread-safe after construction (all model
+/// state is immutable; the activation buffers are per thread).
 class QuantizedModel : public PoiScorer {
  public:
   /// Quantizes a fitted model. When config.fp16_tail is set the tail is

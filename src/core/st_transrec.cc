@@ -461,8 +461,9 @@ std::vector<double> StTransRec::ScoreBatch(UserId user,
   STTR_CHECK(fitted_) << "ScoreBatch() before Fit()";
   if (pois.empty()) return {};
   // Inference path: plain tensor maths, no graph, no dropout. One gathered
-  // [x_u | x_v] block per call; the tower then runs as N x D matrix
-  // products (ParallelMatMul) instead of N separate 1 x D forward passes.
+  // [x_u | x_v] block per call; the tower then runs as one N x D GEMM per
+  // layer on this thread (Mlp::InferenceForward) instead of N separate
+  // 1 x D forward passes.
   const Tensor& user_table = user_emb_->table().value();
   const Tensor& poi_table = poi_emb_->table().value();
   STTR_CHECK_GE(user, 0);

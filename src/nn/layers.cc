@@ -52,15 +52,22 @@ ag::Variable Mlp::Forward(const ag::Variable& x, bool training,
 }
 
 Tensor Mlp::InferenceForward(const Tensor& x) const {
-  Tensor h = x;
+  const size_t n = x.rows();
+  const float* in = x.data();
+  size_t width = x.cols();
+  size_t slot = 0;
   for (const Linear& layer : hidden_) {
-    auto params = layer.Parameters();
-    h = Relu(AddRowBroadcast(ParallelMatMul(h, params[0].value()),
-                             params[1].value()));
+    float* out = ThreadActivationBuffer(slot, n * layer.out_dim());
+    MatMulBiasInto(in, n, width, layer.weight(), layer.bias(), /*relu=*/true,
+                   out);
+    in = out;
+    width = layer.out_dim();
+    slot ^= 1;
   }
-  auto out_params = output_.Parameters();
-  return AddRowBroadcast(ParallelMatMul(h, out_params[0].value()),
-                         out_params[1].value());
+  Tensor logits({n, 1});
+  MatMulBiasInto(in, n, width, output_.weight(), output_.bias(),
+                 /*relu=*/false, logits.data());
+  return logits;
 }
 
 std::vector<ag::Variable> Mlp::Parameters() const {

@@ -43,6 +43,10 @@ class Linear : public Module {
   size_t in_dim() const { return weight_.value().rows(); }
   size_t out_dim() const { return weight_.value().cols(); }
 
+  /// W (in, out) and b (out), for graph-free inference.
+  const Tensor& weight() const { return weight_.value(); }
+  const Tensor& bias() const { return bias_.value(); }
+
   std::vector<ag::Variable> Parameters() const override {
     return {weight_, bias_};
   }
@@ -66,10 +70,13 @@ class Mlp : public Module {
   /// Returns per-row logits with shape (batch, 1). `training` enables dropout.
   ag::Variable Forward(const ag::Variable& x, bool training, Rng& rng) const;
 
-  /// Inference-only forward: no autograd graph, no dropout. Runs the tower
-  /// as (batch, dim) matrix products through ParallelMatMul, so scoring a
-  /// whole candidate set is one pass of large GEMMs instead of `batch`
-  /// separate 1-row passes. Thread-safe (weights are read-only here).
+  /// Inference-only forward: no autograd graph, no dropout. Each layer is
+  /// one (batch, dim) GEMM pass on the calling thread with the bias (and
+  /// ReLU) fused into its store, writing straight into the next layer's
+  /// input in the thread's activation buffers; bit-identical to running
+  /// MatMul, AddRowBroadcast and Relu layer by layer. Once warmed at or
+  /// above `batch` rows it allocates only the returned logits. Thread-safe
+  /// (weights are read-only here, the buffers are per thread).
   Tensor InferenceForward(const Tensor& x) const;
 
   size_t depth() const { return hidden_.size(); }

@@ -47,9 +47,9 @@ struct BatcherConfig {
 /// flushes coalesce. (Only with min_batch_pairs == 1; a larger minimum
 /// always queues, since lone requests must wait for co-batchable traffic.)
 ///
-/// A coalesced ScorePairs call runs on the dispatcher thread, from where
-/// the model's kernels fan out over the shared GlobalThreadPool exactly as
-/// offline batched inference does. At most one flush runs at a time, so
+/// A coalesced ScorePairs call runs entirely on the dispatcher thread: the
+/// model's GEMMs run serially there, as offline batched inference runs them
+/// on its caller, with no pool fan-out. At most one flush runs at a time, so
 /// scoring working sets never contend with each other for cache.
 class ScoreBatcher {
  public:

@@ -79,7 +79,11 @@ FrameParse ParseGatherRequest(std::string_view buffer, GatherRequest* out,
   if (count > kMaxGatherIds) return FrameParse::kBad;
   if (payload_len != 20 + static_cast<size_t>(count) * 8) return FrameParse::kBad;
   out->ids.resize(count);
-  std::memcpy(out->ids.data(), p + 20, static_cast<size_t>(count) * 8);
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (count > 0) {
+    std::memcpy(out->ids.data(), p + 20, static_cast<size_t>(count) * 8);
+  }
   *consumed = kFrameHeaderBytes + payload_len;
   return FrameParse::kComplete;
 }
@@ -104,7 +108,9 @@ FrameParse ParseGatherResponse(std::string_view buffer, GatherResponse* out,
   if (out->count > kMaxGatherIds) return FrameParse::kBad;
   if (payload_len != 20 + floats * sizeof(float)) return FrameParse::kBad;
   out->rows.resize(floats);
-  std::memcpy(out->rows.data(), p + 20, floats * sizeof(float));
+  if (floats > 0) {  // same null data() hazard as in ParseGatherRequest
+    std::memcpy(out->rows.data(), p + 20, floats * sizeof(float));
+  }
   *consumed = kFrameHeaderBytes + payload_len;
   return FrameParse::kComplete;
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "tensor/simd.h"
-#include "util/thread_pool.h"
 
 namespace sttr {
 
@@ -23,15 +22,27 @@ constexpr size_t kColTile = 32;
 // four-way register blocking, independent of the main GEMM tile).
 constexpr size_t kQuadRows = 4;
 
-// Below this many multiply-adds the pool dispatch costs more than it saves.
-constexpr size_t kParallelFlopGrain = size_t{1} << 20;
+// What the GEMM micro-kernels do to each accumulator as they store it.
+enum class Epilogue { kStore, kBias, kBiasRelu };
 
-/// C[0..RT)[0..CT) = A(RT rows, k) * B(k, CT cols). Accumulates over the
-/// inner dimension in increasing order per element — the same per-element
-/// chain as the classic i-k-j loop, so blocking does not perturb results.
-template <size_t RT, size_t CT>
+template <Epilogue E>
+inline float Finish(float acc, const float* bias, size_t j) {
+  if constexpr (E == Epilogue::kStore) {
+    return acc;
+  } else if constexpr (E == Epilogue::kBias) {
+    return acc + bias[j];
+  } else {
+    return ReluScalar(acc + bias[j]);
+  }
+}
+
+/// C[0..RT)[0..CT) = A(RT rows, k) * B(k, CT cols), each element finished by
+/// E with bias[0..CT). Accumulates over the inner dimension in increasing
+/// order per element — the same per-element chain as the classic i-k-j
+/// loop, so blocking does not perturb results.
+template <Epilogue E, size_t RT, size_t CT>
 inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
-                      float* c, size_t ldc, size_t k) {
+                      const float* bias, float* c, size_t ldc, size_t k) {
   float acc[RT][CT] = {};
   for (size_t kk = 0; kk < k; ++kk) {
     const float* br = b + kk * ldb;
@@ -41,15 +52,17 @@ inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
     }
   }
   for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < CT; ++j) c[r * ldc + j] = acc[r][j];
+    for (size_t j = 0; j < CT; ++j) {
+      c[r * ldc + j] = Finish<E>(acc[r][j], bias, j);
+    }
   }
 }
 
 /// Ragged right/bottom edge of the tiling: RT rows, jw < kColTile columns.
-template <size_t RT>
+template <Epilogue E, size_t RT>
 inline void GemmMicroEdge(const float* a, size_t lda, const float* b,
-                          size_t ldb, float* c, size_t ldc, size_t k,
-                          size_t jw) {
+                          size_t ldb, const float* bias, float* c, size_t ldc,
+                          size_t k, size_t jw) {
   float acc[RT][kColTile] = {};
   for (size_t kk = 0; kk < k; ++kk) {
     const float* br = b + kk * ldb;
@@ -59,33 +72,39 @@ inline void GemmMicroEdge(const float* a, size_t lda, const float* b,
     }
   }
   for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < jw; ++j) c[r * ldc + j] = acc[r][j];
+    for (size_t j = 0; j < jw; ++j) {
+      c[r * ldc + j] = Finish<E>(acc[r][j], bias, j);
+    }
   }
 }
 
-/// Blocked GEMM over C rows [i0, i1): the unit of work the parallel path
-/// shards. Column tiles are the outer loop so the strided B panel a tile
+/// Blocked GEMM C(n,m) = A(n,k) * B(k,m), each element finished by E with
+/// bias(m). Column tiles are the outer loop so the strided B panel a tile
 /// touches stays cache-resident across the row sweep.
-void GemmRowRange(const float* a, const float* b, float* c, size_t i0,
-                  size_t i1, size_t k, size_t m) {
+template <Epilogue E>
+void BlockedGemm(const float* a, const float* b, const float* bias, float* c,
+                 size_t n, size_t k, size_t m) {
   for (size_t j0 = 0; j0 < m; j0 += kColTile) {
     const size_t jw = std::min(kColTile, m - j0);
-    size_t i = i0;
+    const float* bias_j = E == Epilogue::kStore ? nullptr : bias + j0;
+    size_t i = 0;
     if (jw == kColTile) {
-      for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicro<kRowTile, kColTile>(a + i * k, k, b + j0, m, c + i * m + j0,
-                                      m, k);
+      for (; i + kRowTile <= n; i += kRowTile) {
+        GemmMicro<E, kRowTile, kColTile>(a + i * k, k, b + j0, m, bias_j,
+                                         c + i * m + j0, m, k);
       }
-      for (; i < i1; ++i) {
-        GemmMicro<1, kColTile>(a + i * k, k, b + j0, m, c + i * m + j0, m, k);
+      for (; i < n; ++i) {
+        GemmMicro<E, 1, kColTile>(a + i * k, k, b + j0, m, bias_j,
+                                  c + i * m + j0, m, k);
       }
     } else {
-      for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicroEdge<kRowTile>(a + i * k, k, b + j0, m, c + i * m + j0, m, k,
-                                jw);
+      for (; i + kRowTile <= n; i += kRowTile) {
+        GemmMicroEdge<E, kRowTile>(a + i * k, k, b + j0, m, bias_j,
+                                   c + i * m + j0, m, k, jw);
       }
-      for (; i < i1; ++i) {
-        GemmMicroEdge<1>(a + i * k, k, b + j0, m, c + i * m + j0, m, k, jw);
+      for (; i < n; ++i) {
+        GemmMicroEdge<E, 1>(a + i * k, k, b + j0, m, bias_j, c + i * m + j0,
+                            m, k, jw);
       }
     }
   }
@@ -99,30 +118,30 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
   STTR_CHECK_EQ(k, b.rows()) << "MatMul inner dims";
   Tensor c({n, m});
-  GemmRowRange(a.data(), b.data(), c.data(), 0, n, k, m);
+  BlockedGemm<Epilogue::kStore>(a.data(), b.data(), nullptr, c.data(), n, k,
+                                m);
   return c;
 }
 
-Tensor ParallelMatMul(const Tensor& a, const Tensor& b) {
-  STTR_CHECK_EQ(a.ndim(), 2u);
+void MatMulBiasInto(const float* a, size_t n, size_t k, const Tensor& b,
+                    const Tensor& bias, bool relu, float* out) {
   STTR_CHECK_EQ(b.ndim(), 2u);
-  const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  STTR_CHECK_EQ(k, b.rows()) << "ParallelMatMul inner dims";
-  Tensor c({n, m});
-  ThreadPool& pool = GlobalThreadPool();
-  if (n * k * m < kParallelFlopGrain || pool.num_threads() <= 1 ||
-      ThreadPool::InWorker()) {
-    GemmRowRange(a.data(), b.data(), c.data(), 0, n, k, m);
-    return c;
+  STTR_CHECK_EQ(k, b.rows()) << "MatMulBiasInto inner dims";
+  const size_t m = b.cols();
+  STTR_CHECK_EQ(bias.size(), m) << "bias size must match columns";
+  if (relu) {
+    BlockedGemm<Epilogue::kBiasRelu>(a, b.data(), bias.data(), out, n, k, m);
+  } else {
+    BlockedGemm<Epilogue::kBias>(a, b.data(), bias.data(), out, n, k, m);
   }
-  // Shard C rows in kRowTile multiples so every row goes through the same
-  // micro-kernel path it would take serially (bit-identical outputs).
-  size_t grain = std::max<size_t>(
-      kRowTile, (n / (4 * pool.num_threads())) & ~(kRowTile - 1));
-  pool.ParallelForChunked(n, grain, [&](size_t begin, size_t end) {
-    GemmRowRange(a.data(), b.data(), c.data(), begin, end, k, m);
-  });
-  return c;
+}
+
+float* ThreadActivationBuffer(size_t slot, size_t floats) {
+  STTR_CHECK_LT(slot, 2u);
+  thread_local std::vector<float> buffers[2];
+  std::vector<float>& buf = buffers[slot];
+  if (buf.size() < floats) buf = std::vector<float>(floats);
+  return buf.data();
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
@@ -242,7 +261,9 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   STTR_CHECK(a.SameShape(b));
   Tensor out = a;
-  for (size_t i = 0; i < out.size(); ++i) out[i] *= b[i];
+  float* o = out.data();
+  const float* bd = b.data();
+  for (size_t i = 0, size = out.size(); i < size; ++i) o[i] *= bd[i];
   return out;
 }
 
@@ -257,9 +278,11 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
   const size_t n = x.rows(), m = x.cols();
   STTR_CHECK_EQ(bias.size(), m) << "bias size must match columns";
   Tensor out = x;
+  float* o = out.data();
+  const float* bd = bias.data();
   for (size_t i = 0; i < n; ++i) {
-    float* row = out.row(i);
-    for (size_t j = 0; j < m; ++j) row[j] += bias[j];
+    float* row = o + i * m;
+    for (size_t j = 0; j < m; ++j) row[j] += bd[j];
   }
   return out;
 }
@@ -268,9 +291,11 @@ Tensor ColSum(const Tensor& x) {
   STTR_CHECK_EQ(x.ndim(), 2u);
   const size_t n = x.rows(), m = x.cols();
   Tensor out({m});
+  float* o = out.data();
+  const float* xd = x.data();
   for (size_t i = 0; i < n; ++i) {
-    const float* row = x.row(i);
-    for (size_t j = 0; j < m; ++j) out[j] += row[j];
+    const float* row = xd + i * m;
+    for (size_t j = 0; j < m; ++j) o[j] += row[j];
   }
   return out;
 }
@@ -354,9 +379,8 @@ void ScatterRowsAdd(Tensor& dest, const std::vector<int64_t>& indices,
 
 Tensor Relu(const Tensor& x) {
   Tensor out = x;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i] < 0) out[i] = 0;
-  }
+  float* o = out.data();
+  for (size_t i = 0, size = out.size(); i < size; ++i) o[i] = ReluScalar(o[i]);
   return out;
 }
 

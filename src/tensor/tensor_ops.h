@@ -16,12 +16,25 @@ namespace sttr {
 /// reused across a block of C rows.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = A(n,k) * B(k,m), sharding blocks of C rows across GlobalThreadPool()
-/// when n*k*m exceeds a grain threshold (and the caller is not already a
-/// pool worker); falls back to the serial blocked kernel otherwise. Row
-/// shards run the identical micro-kernel on disjoint outputs, so the result
-/// is bit-identical to MatMul().
-Tensor ParallelMatMul(const Tensor& a, const Tensor& b);
+/// out(n,m) = A(n,k) * B(k,m) + bias(m), clamped by ReluScalar when `relu`
+/// is set, in one pass: the bias add and the ReLU run on the accumulators as
+/// each GEMM tile is stored. Every element takes the same float operations
+/// in the same order as Relu(AddRowBroadcast(MatMul(A, B), bias)), so the
+/// result is bit-identical to that chain. `a` and `out` are raw row-major
+/// buffers (n*k and n*m floats, not overlapping) so a layer-by-layer
+/// forward pass can write each layer straight into the next layer's input.
+void MatMulBiasInto(const float* a, size_t n, size_t k, const Tensor& b,
+                    const Tensor& bias, bool relu, float* out);
+
+/// One of two activation buffers (`slot` 0 or 1) owned by the calling
+/// thread, with room for at least `floats` floats. A layer-by-layer forward
+/// pass alternates between them: layer l reads one slot and writes the
+/// other. A slot grows to the largest size asked of it on its thread and
+/// never shrinks, so a warmed pass at or below that high-water mark
+/// allocates nothing; nothing is allocated before a thread's first call.
+/// Growing a slot discards its contents. Not reentrant: one pass at a time
+/// per thread.
+float* ThreadActivationBuffer(size_t slot, size_t floats);
 
 /// C = A^T(n,k)^T * B(n,m) = (k,m). Used for dW in linear backward.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
@@ -63,7 +76,11 @@ Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& indices);
 void ScatterRowsAdd(Tensor& dest, const std::vector<int64_t>& indices,
                     const Tensor& src);
 
-/// Elementwise ReLU / its mask-based derivative helper.
+/// max(x, 0) as the comparison `x < 0 ? 0 : x`: keeps -0.0f and NaN as they
+/// are. Branch-free, so element loops over it vectorise.
+inline float ReluScalar(float x) { return x < 0.0f ? 0.0f : x; }
+
+/// Elementwise ReluScalar.
 Tensor Relu(const Tensor& x);
 
 /// Numerically stable logistic sigmoid.

@@ -111,11 +111,4 @@ size_t DefaultNumThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-ThreadPool& GlobalThreadPool() {
-  // Leaked on purpose: joining workers during static destruction races
-  // with other exit-time teardown, and the OS reclaims the threads anyway.
-  static ThreadPool* pool = new ThreadPool(DefaultNumThreads());
-  return *pool;
-}
-
 }  // namespace sttr

@@ -14,8 +14,9 @@ namespace sttr {
 
 /// Fixed-size worker pool. Stands in for the paper's multi-GPU data
 /// parallelism (Table 2): each worker computes gradients on its own shard of
-/// a batch, exactly as each GPU would. Also backs the batched inference path
-/// (ParallelMatMul, parallel evaluation) via GlobalThreadPool().
+/// a batch, exactly as each GPU would. Also shards test users in the
+/// parallel evaluation protocol. Inference kernels never use a pool: a
+/// scoring call runs on the thread that makes it.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1).
@@ -40,9 +41,9 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Runs fn(begin, end) over a partition of [0, n) into chunks of at most
-  /// `grain` indices, sharded across the pool, and waits. This is the entry
-  /// point the blocked tensor kernels use: one std::function per *range*,
-  /// not per index, so dispatch overhead is amortised over the chunk.
+  /// `grain` indices, sharded across the pool, and waits. One
+  /// std::function call per *range*, not per index, so dispatch overhead is
+  /// amortised over the chunk (the trainer's all-reduce and broadcast).
   void ParallelForChunked(
       size_t n, size_t grain,
       const std::function<void(size_t begin, size_t end)>& fn);
@@ -50,9 +51,9 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// True when the calling thread is a worker of *any* ThreadPool. Parallel
-  /// kernels consult this to fall back to their serial form instead of
-  /// nesting pools (which would both oversubscribe and risk deadlocking a
-  /// pool waiting on itself).
+  /// paths (the evaluation protocol) consult this to fall back to their
+  /// serial form instead of nesting pools (which would both oversubscribe
+  /// and risk deadlocking a pool waiting on itself).
   static bool InWorker();
 
  private:
@@ -67,15 +68,10 @@ class ThreadPool {
   bool shutting_down_ GUARDED_BY(mu_) = false;
 };
 
-/// Worker count for shared parallel paths: the STTR_NUM_THREADS environment
-/// variable when set to a positive integer, else hardware_concurrency()
-/// (minimum 1).
+/// Default worker count of the parallel evaluation protocol: the
+/// STTR_NUM_THREADS environment variable when set to a positive integer,
+/// else hardware_concurrency() (minimum 1).
 size_t DefaultNumThreads();
-
-/// Lazily constructed process-wide pool of DefaultNumThreads() workers,
-/// shared by ParallelMatMul and the parallel evaluation protocol. Never
-/// destroyed before exit, so handing references around is safe.
-ThreadPool& GlobalThreadPool();
 
 }  // namespace sttr
 

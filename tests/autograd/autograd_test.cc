@@ -1,5 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +117,42 @@ TEST(GradCheckTest, Activations) {
   CheckGradient(x, [&] { return Sum(Relu(x)); });
   CheckGradient(x, [&] { return Sum(SigmoidOp(x)); });
   CheckGradient(x, [&] { return Sum(TanhOp(x)); });
+}
+
+// The ReLU backward adds the upstream gradient where the output is > 0 and
+// leaves the input's gradient untouched elsewhere — at the kink, at -0.0f,
+// at NaN inputs, and even when the masked-out upstream gradient is NaN.
+TEST(GradCheckTest, ReluGradientMatchesMaskedReference) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> xs = {-2.0f, -0.0f, 0.0f, 3.0f, nan, 1e-30f,
+                                 -1e-30f, 0.5f, -7.0f};
+  const std::vector<float> ups = {nan, nan, 4.0f, -1.25f, 2.0f, -0.5f,
+                                  nan, 0.75f, 1.0f};
+  const size_t size = 41;  // vector body plus a ragged tail
+  Tensor xv({size}), up({size}), prior({size});
+  for (size_t i = 0; i < size; ++i) {
+    xv.data()[i] = xs[i % xs.size()];
+    up.data()[i] = ups[(i * 5) % ups.size()];
+    prior.data()[i] = static_cast<float>(i % 3) - 1.0f;
+  }
+  Variable x(xv, true);
+  // d/dx of Sum(Relu(x) * up) + Sum(x * prior): the second term seeds x's
+  // gradient with `prior` so the ReLU backward accumulates onto non-zeros.
+  Backward(Add(Sum(Mul(Relu(x), Constant(up))), Sum(Mul(x, Constant(prior)))));
+  const Tensor& grad = x.grad();
+  ASSERT_EQ(grad.size(), size);
+  for (size_t i = 0; i < size; ++i) {
+    float want = prior.data()[i];
+    const float y = xv.data()[i] < 0 ? 0.0f : xv.data()[i];
+    if (y > 0.0f) want += up.data()[i];
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(grad.data()[i])) << "element " << i;
+    } else {
+      EXPECT_EQ(std::bit_cast<uint32_t>(grad.data()[i]),
+                std::bit_cast<uint32_t>(want))
+          << "element " << i << ": " << grad.data()[i] << " vs " << want;
+    }
+  }
 }
 
 TEST(GradCheckTest, ConcatCols) {

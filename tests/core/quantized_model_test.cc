@@ -17,6 +17,9 @@
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
+#include "tensor/quant.h"
+#include "tensor/simd.h"
+#include "tensor/tensor_ops.h"
 
 namespace sttr {
 namespace {
@@ -53,6 +56,69 @@ void TestPairs(const Fixture& f, std::vector<UserId>* users,
       pois->push_back(p);
     }
   }
+}
+
+/// QuantizedModel::ScorePairs recomputed the way it ran before its tail was
+/// fused: the int8 layer 0 in the same float order into a fresh tensor,
+/// then MatMul, AddRowBroadcast and Relu per tail layer.
+std::vector<double> UnfusedQuantizedScores(const StTransRec& model,
+                                           const QuantizationConfig& cfg,
+                                           const std::vector<UserId>& users,
+                                           const std::vector<PoiId>& pois) {
+  const std::vector<ag::Variable> params = model.Parameters();
+  const size_t d = params[0].value().cols();
+  const RowQuantizedMatrix uq =
+      QuantizeRows(params[0].value(), cfg.embedding_scheme);
+  const RowQuantizedMatrix pq =
+      QuantizeRows(params[1].value(), cfg.embedding_scheme);
+  const Tensor& w0 = params[3].value();
+  const Tensor& b0 = params[4].value();
+  const size_t h0 = w0.cols();
+  Tensor w0t({h0, 2 * d});
+  for (size_t r = 0; r < 2 * d; ++r) {
+    for (size_t j = 0; j < h0; ++j) w0t.at(j, r) = w0.at(r, j);
+  }
+  const RowQuantizedMatrix wq = QuantizeRows(w0t, QuantScheme::kSymmetric);
+  // user, poi, word tables + (W, b) for layer 0 and the output: no tail.
+  const bool relu0 = params.size() > 5;
+  const size_t n = users.size();
+  Tensor h({n, h0});
+  for (size_t i = 0; i < n; ++i) {
+    const auto u = static_cast<size_t>(users[i]);
+    const auto v = static_cast<size_t>(pois[i]);
+    for (size_t j = 0; j < h0; ++j) {
+      const int8_t* qw = wq.row(j);
+      const int32_t top = simd::DotI8Scalar(uq.row(u), qw, d);
+      const int32_t bot = simd::DotI8Scalar(pq.row(v), qw + d, d);
+      const float sw = wq.scale(j);
+      float out = b0[j] +
+                  uq.scale(u) * sw *
+                      static_cast<float>(top - uq.zero_point(u) *
+                                                   simd::SumI8Scalar(qw, d)) +
+                  pq.scale(v) * sw *
+                      static_cast<float>(bot - pq.zero_point(v) *
+                                                   simd::SumI8Scalar(qw + d, d));
+      if (relu0 && out < 0.0f) out = 0.0f;
+      h.at(i, j) = out;
+    }
+  }
+  Tensor cur = h;
+  for (size_t p = 5; p + 1 < params.size(); p += 2) {
+    Tensor w = params[p].value();
+    Tensor b = params[p + 1].value();
+    if (cfg.fp16_tail) {
+      for (Tensor* t : {&w, &b}) {
+        for (size_t e = 0; e < t->size(); ++e) {
+          t->data()[e] = HalfToFloat(FloatToHalf(t->data()[e]));
+        }
+      }
+    }
+    const Tensor z = AddRowBroadcast(MatMul(cur, w), b);
+    cur = p + 2 < params.size() ? Relu(z) : z;
+  }
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = SigmoidScalar(cur.data()[i]);
+  return out;
 }
 
 class QuantizedModelTest : public ::testing::Test {
@@ -109,6 +175,45 @@ TEST_F(QuantizedModelTest, ScoreVariantsAgreeBitwise) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(batch[i], paired[i]) << i;
     EXPECT_EQ(quant->Score(u, pois[i]), batch[i]) << i;
+  }
+}
+
+// The fused fp32 tail (bias and ReLU in the GEMM store, ping-pong
+// buffers) must score exactly as the unfused reference. The fitted model
+// has no hidden tail layer; the Prepare()d one has two ReLU tail layers with
+// ragged widths and random biases, over 1 to 513 pairs.
+TEST_F(QuantizedModelTest, FusedTailMatchesUnfusedReferenceBitwise) {
+  StTransRecConfig deep_cfg = SmallConfig();
+  deep_cfg.hidden_dims = {24, 16, 7};
+  StTransRec deep(deep_cfg);
+  ASSERT_TRUE(deep.Prepare(fixture_->world.dataset, fixture_->split).ok());
+  Rng rng(17);
+  for (ag::Variable& p : deep.Parameters()) {
+    if (p.value().ndim() == 1) {
+      p.mutable_value() = Tensor::RandomNormal(p.value().shape(), rng);
+    }
+  }
+  std::vector<UserId> all_users;
+  std::vector<PoiId> all_pois;
+  TestPairs(*fixture_, &all_users, &all_pois);
+  ASSERT_GE(all_users.size(), 513u);
+  for (const StTransRec* model : {static_cast<const StTransRec*>(model_),
+                                  static_cast<const StTransRec*>(&deep)}) {
+    for (const bool fp16_tail : {true, false}) {
+      QuantizationConfig cfg;
+      cfg.fp16_tail = fp16_tail;
+      const auto quant = QuantizedModel::Quantize(*model, cfg);
+      ASSERT_TRUE(quant.ok()) << quant.status().ToString();
+      for (const size_t n : {1u, 7u, 8u, 9u, 351u, 513u}) {
+        const std::vector<UserId> users(all_users.begin(),
+                                        all_users.begin() + n);
+        const std::vector<PoiId> pois(all_pois.begin(), all_pois.begin() + n);
+        EXPECT_EQ(quant->ScorePairs(users, pois),
+                  UnfusedQuantizedScores(*model, cfg, users, pois))
+            << "hidden layers " << model->config().hidden_dims.size()
+            << ", fp16_tail=" << fp16_tail << ", " << n << " pairs";
+      }
+    }
   }
 }
 

@@ -1,14 +1,46 @@
 #include "nn/layers.h"
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "nn/optimizer.h"
+#include "serve/alloc_hook.h"
+#include "tensor/tensor_ops.h"
 
 namespace sttr::nn {
 namespace {
+
+/// The unfused tower: MatMul, AddRowBroadcast and Relu per hidden layer,
+/// then MatMul and AddRowBroadcast for the logit — what InferenceForward
+/// computed before its layers were fused.
+Tensor UnfusedForward(const Mlp& mlp, const Tensor& x) {
+  const std::vector<ag::Variable> params = mlp.Parameters();
+  Tensor h = x;
+  for (size_t p = 0; p + 2 < params.size(); p += 2) {
+    h = Relu(AddRowBroadcast(MatMul(h, params[p].value()),
+                             params[p + 1].value()));
+  }
+  return AddRowBroadcast(MatMul(h, params[params.size() - 2].value()),
+                         params.back().value());
+}
+
+/// An Mlp whose biases are random too (they start at zero), so the fused
+/// bias add and the ReLU both see mixed signs.
+Mlp RandomMlp(size_t input_dim, const std::vector<size_t>& dims,
+              uint64_t seed) {
+  Rng rng(seed);
+  Mlp mlp(input_dim, dims, 0.0f, rng);
+  for (ag::Variable& p : mlp.Parameters()) {
+    if (p.value().ndim() == 1) {
+      p.mutable_value() = Tensor::RandomNormal(p.value().shape(), rng);
+    }
+  }
+  return mlp;
+}
 
 TEST(EmbeddingTest, ForwardGathersRows) {
   Rng rng(1);
@@ -114,6 +146,58 @@ TEST(MlpTest, DropoutOnlyInTraining) {
   ag::Variable eval2 = mlp.Forward(ag::Constant(x), false, d2);
   // Deterministic without dropout.
   EXPECT_TRUE(eval1.value().AllClose(eval2.value(), 0, 0));
+}
+
+// Row counts straddle the 8-row GEMM tile (1, 7, 8, 9) and reach serving
+// sizes (351 is one request's candidates, 513 one more than a batcher
+// flush). The paper's tower (128-128-64-32-16-1) runs the full 32-column
+// kernel and the ragged m=16 and m=1 edges; the second tower's widths
+// (40, 16, 7) hit ragged edges on every layer; the third is the output
+// layer alone.
+TEST(MlpTest, FusedInferenceMatchesUnfusedLayersBitwise) {
+  struct Tower {
+    size_t input_dim;
+    std::vector<size_t> dims;
+  };
+  const Tower towers[] = {{128, {128, 64, 32, 16}}, {13, {40, 16, 7}},
+                          {9, {}}};
+  for (const Tower& t : towers) {
+    const Mlp mlp = RandomMlp(t.input_dim, t.dims, 77 + t.input_dim);
+    for (const size_t rows : {1u, 7u, 8u, 9u, 351u, 513u, 8u}) {
+      Rng rng(rows * 3 + t.input_dim);
+      const Tensor x = Tensor::RandomNormal({rows, t.input_dim}, rng);
+      const Tensor got = mlp.InferenceForward(x);
+      const Tensor want = UnfusedForward(mlp, x);
+      ASSERT_TRUE(got.SameShape(want));
+      ASSERT_EQ(got.cols(), 1u);
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got.data()[i]),
+                  std::bit_cast<uint32_t>(want.data()[i]))
+            << "input " << t.input_dim << ", " << rows << " rows, row " << i;
+      }
+    }
+  }
+}
+
+TEST(MlpTest, WarmedInferenceAllocatesOnlyTheLogits) {
+  ASSERT_TRUE(serve::AllocHookActive());
+  const Mlp mlp = RandomMlp(128, {128, 64, 32, 16}, 5);
+  Rng rng(6);
+  const Tensor big = Tensor::RandomNormal({351, 128}, rng);
+  const Tensor small = Tensor::RandomNormal({40, 128}, rng);
+  uint64_t logits_allocs = 0;
+  {
+    const serve::ScopedAllocCount meter;
+    const Tensor logits({351, 1});
+    logits_allocs = meter.Count();
+  }
+  ASSERT_GT(logits_allocs, 0u);
+  (void)mlp.InferenceForward(big);  // grows this thread's buffers
+  for (const Tensor* x : {&big, &small, &big}) {
+    const serve::ScopedAllocCount meter;
+    const Tensor logits = mlp.InferenceForward(*x);
+    EXPECT_EQ(meter.Count(), logits_allocs) << x->rows() << " rows";
+  }
 }
 
 TEST(ModuleTest, SaveLoadRoundTrip) {

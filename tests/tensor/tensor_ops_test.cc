@@ -1,7 +1,9 @@
 #include "tensor/tensor_ops.h"
 
+#include <bit>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -10,14 +12,17 @@
 namespace sttr {
 namespace {
 
-// Force a multi-worker global pool (unless the environment already pins
-// one) so the ParallelMatMul tests exercise real cross-thread sharding
-// even on single-core CI runners. Runs before main(), i.e. before the
-// lazily-constructed pool reads the variable.
-const int kForcePoolThreads = [] {
-  setenv("STTR_NUM_THREADS", "4", /*overwrite=*/0);
-  return 0;
-}();
+/// Asserts `got` and `want` hold the same float bit patterns (so -0.0f vs
+/// +0.0f and NaN payloads count, unlike operator==).
+void ExpectBitIdentical(const Tensor& got, const Tensor& want) {
+  ASSERT_TRUE(got.SameShape(want));
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.data()[i]),
+              std::bit_cast<uint32_t>(want.data()[i]))
+        << "element " << i << ": " << got.data()[i] << " vs "
+        << want.data()[i];
+  }
+}
 
 Tensor Naive(const Tensor& a, const Tensor& b) {
   Tensor c({a.rows(), b.cols()});
@@ -99,6 +104,22 @@ INSTANTIATE_TEST_SUITE_P(
                       MatDims{7, 12, 31}, MatDims{1, 64, 32},
                       MatDims{106, 13, 1}));
 
+// The fused bias (+ReLU) epilogue must reproduce the unfused chain bit for
+// bit on every tile path the sweep above covers.
+TEST_P(MatMulSweep, BiasEpilogueMatchesUnfusedChain) {
+  const auto [n, k, m] = GetParam();
+  Rng rng(31 * n + 7 * k + m);
+  const Tensor a = Tensor::RandomNormal({n, k}, rng);
+  const Tensor b = Tensor::RandomNormal({k, m}, rng);
+  const Tensor bias = Tensor::RandomNormal({m}, rng);
+  const Tensor z = AddRowBroadcast(MatMul(a, b), bias);
+  Tensor fused({n, m});
+  MatMulBiasInto(a.data(), n, k, b, bias, /*relu=*/false, fused.data());
+  ExpectBitIdentical(fused, z);
+  MatMulBiasInto(a.data(), n, k, b, bias, /*relu=*/true, fused.data());
+  ExpectBitIdentical(fused, Relu(z));
+}
+
 TEST(MatMulTest, DegenerateShapes) {
   // 0-row and 0-column operands must produce empty (but shaped) results.
   Rng rng(3);
@@ -106,8 +127,8 @@ TEST(MatMulTest, DegenerateShapes) {
   const Tensor c0 = MatMul(Tensor({0, 4}), b);
   EXPECT_EQ(c0.rows(), 0u);
   EXPECT_EQ(c0.cols(), 5u);
-  const Tensor p0 = ParallelMatMul(Tensor({0, 4}), b);
-  EXPECT_EQ(p0.rows(), 0u);
+  // Zero rows: the fused kernel touches neither buffer, so null is fine.
+  MatMulBiasInto(nullptr, 0, 4, b, Tensor({5}), /*relu=*/true, nullptr);
 
   const Tensor a = Tensor::RandomNormal({3, 4}, rng);
   const Tensor cm0 = MatMul(a, Tensor({4, 0}));
@@ -117,46 +138,6 @@ TEST(MatMulTest, DegenerateShapes) {
   // A single row exercises the remainder-row micro-kernel end to end.
   const Tensor one = Tensor::RandomNormal({1, 4}, rng);
   EXPECT_TRUE(MatMul(one, b).AllClose(Naive(one, b), 1e-5, 1e-6));
-}
-
-TEST(ParallelMatMulTest, BitIdenticalToSerialBelowGrain) {
-  Rng rng(11);
-  const Tensor a = Tensor::RandomNormal({13, 24}, rng);
-  const Tensor b = Tensor::RandomNormal({24, 37}, rng);
-  const Tensor serial = MatMul(a, b);
-  const Tensor parallel = ParallelMatMul(a, b);
-  ASSERT_TRUE(serial.SameShape(parallel));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "element " << i;
-  }
-}
-
-TEST(ParallelMatMulTest, BitIdenticalToSerialAboveGrain) {
-  // 128*128*128 = 2M multiply-adds: over the dispatch threshold, so this
-  // goes through the sharded path whenever the pool has >1 worker. Row
-  // shards are kRowTile-aligned, so results must match serial bit for bit.
-  Rng rng(12);
-  const Tensor a = Tensor::RandomNormal({128, 128}, rng);
-  const Tensor b = Tensor::RandomNormal({128, 128}, rng);
-  const Tensor serial = MatMul(a, b);
-  const Tensor parallel = ParallelMatMul(a, b);
-  ASSERT_TRUE(serial.SameShape(parallel));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "element " << i;
-  }
-}
-
-TEST(ParallelMatMulTest, RaggedShapeAboveGrain) {
-  // Non-multiple-of-tile rows and columns through the parallel dispatch.
-  Rng rng(13);
-  const Tensor a = Tensor::RandomNormal({107, 129}, rng);
-  const Tensor b = Tensor::RandomNormal({129, 83}, rng);
-  const Tensor serial = MatMul(a, b);
-  const Tensor parallel = ParallelMatMul(a, b);
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "element " << i;
-  }
-  EXPECT_TRUE(serial.AllClose(Naive(a, b), 1e-3, 1e-4));
 }
 
 TEST(MatMulTest, ShapeMismatchAborts) {
@@ -256,6 +237,35 @@ TEST(ActivationTest, ReluClampsNegatives) {
   EXPECT_EQ(y[1], 0);
   EXPECT_EQ(y[2], 2);
   EXPECT_EQ(y[3], 0);
+}
+
+// Relu must treat the float edge cases exactly as the original
+// `if (x < 0) x = 0` loop did: -0.0f and NaN are not < 0, so they pass
+// through with their bits intact.
+TEST(ActivationTest, ReluKeepsNegativeZeroAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> values = {
+      -0.0f, 0.0f, nan, -nan, inf, -inf, denorm, -denorm, -1.5f, 2.5f,
+      std::numeric_limits<float>::lowest(), std::numeric_limits<float>::max()};
+  // Long enough that a vectorised loop runs its main body and its tail.
+  const size_t size = 67;
+  Tensor x({size});
+  Tensor want({size});
+  for (size_t i = 0; i < size; ++i) {
+    const float v = values[i % values.size()];
+    x.data()[i] = v;
+    want.data()[i] = v;
+    if (want.data()[i] < 0) want.data()[i] = 0;
+  }
+  const Tensor got = Relu(x);
+  ExpectBitIdentical(got, want);
+  EXPECT_TRUE(std::signbit(got.data()[0])) << "-0.0f must stay -0.0f";
+  EXPECT_TRUE(std::isnan(got.data()[2]));
+  EXPECT_TRUE(std::isnan(got.data()[3]));
+  EXPECT_EQ(ReluScalar(-inf), 0.0f);
+  EXPECT_FALSE(std::signbit(ReluScalar(-1.0f)));
 }
 
 TEST(ActivationTest, SigmoidValues) {

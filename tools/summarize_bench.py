@@ -15,9 +15,10 @@ import sys
 
 
 def summarize_micro(path: str, data: dict) -> None:
-    """Prints per-kernel throughput and the serial-vs-parallel speedups of a
-    micro-benchmark JSON file."""
-    print(f"\n### {data.get('bench', path)} (threads={data.get('threads', '?')})")
+    """Prints per-kernel throughput and the speedups of a micro-benchmark
+    JSON file."""
+    threads = f" (threads={data['threads']})" if "threads" in data else ""
+    print(f"\n### {data.get('bench', path)}{threads}")
     for row in data.get("results", []):
         # Shape columns vary per bench: GEMM uses n/k/m, the all-reduce bench
         # rows/dim/touched, table2 workers, micro_quant pairs.
